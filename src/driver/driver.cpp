@@ -518,17 +518,15 @@ RunResult run(const RunRequest& request, std::shared_ptr<re::EngineCore> core) {
     }
 
     if (request.showStats) {
-      // Drive the speedup through the pass pipeline, one stats table per
-      // step.
+      // One stats table per speedup step.
       const obs::ScopedSpan phase("phase.pipeline");
       re::Problem current = p;
       for (int step = 1; step <= maxSteps; ++step) {
         if (interrupted()) return finishInterrupted();
         try {
-          auto stepResult = ctx.pipeline().run(current, ctx);
+          auto stepResult = ctx.speedupStepWithStats(current);
           out << "speedup step " << step << ":\n"
               << stepResult.renderStatsTable() << "\n";
-          if (stepResult.stopped) break;
           current = std::move(stepResult.problem);
         } catch (const re::Error& e) {
           out << "speedup step " << step << ": engine guard (" << e.what()

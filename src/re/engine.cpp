@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <tuple>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
 #include "obs/trace.hpp"
+#include "re/memo.hpp"
 #include "re/zero_round.hpp"
 #include "util/arena.hpp"
 
@@ -48,52 +52,25 @@ std::string CacheStats::describe() const {
 // ---------------------------------------------------------------------------
 
 struct EngineCore::Impl {
-  // Every cache follows the same discipline: buckets keyed by a 64-bit
-  // structural hash, entries carrying the full key for exact comparison (a
-  // hash collision degrades to a miss-like scan, never to a wrong answer).
-  struct StepEntry {
-    int kind;  // 0 = R, 1 = Rbar
-    Problem input;
-    Count maxRbarDelta;
-    std::size_t enumerationLimit;
-    StepResult result;
-  };
-  struct EdgeCompatEntry {
-    Constraint edge;
-    int alphabetSize;
-    std::vector<LabelSet> compat;
-  };
-  struct StrengthEntry {
-    Constraint constraint;
-    int alphabetSize;
-    std::size_t limit;
-    StrengthRelation relation{0};
-  };
-  struct RightClosedEntry {
-    Constraint constraint;
-    int alphabetSize;
-    LabelSet universe;
-    std::size_t limit;
-    std::vector<LabelSet> sets;
-  };
-  struct ZeroRoundEntry {
-    Problem input;
-    ZeroRoundMode mode;
-    bool solvable;
-  };
-  struct CanonicalEntry {
-    Problem input;
-    CanonicalForm form;
-  };
-
+  // Every cache is one Memo: buckets keyed by a 64-bit slot hash, entries
+  // carrying their full key.  Keys are tuples ordered cheapest field first,
+  // since a lookup compares them left to right.
   mutable std::mutex mutex;
-  std::unordered_map<std::uint64_t, std::vector<StepEntry>> steps;
-  std::unordered_map<std::uint64_t, std::vector<EdgeCompatEntry>> edgeCompat;
-  std::unordered_map<std::uint64_t, std::vector<StrengthEntry>> strengths;
-  std::unordered_map<std::uint64_t, std::vector<RightClosedEntry>> rightClosed;
-  std::unordered_map<std::uint64_t, std::vector<ZeroRoundEntry>> zeroRound;
-  std::unordered_map<std::uint64_t, std::vector<CanonicalEntry>> canonicals;
-  std::unordered_map<std::uint64_t, std::vector<Problem>> interned;
+  /// (kind 0 = R / 1 = Rbar, maxRbarDelta, enumerationLimit, input).
+  detail::Memo<std::tuple<int, Count, std::size_t, Problem>, StepResult> steps;
+  /// (alphabetSize, edge).
+  detail::Memo<std::tuple<int, Constraint>, std::vector<LabelSet>> edgeCompat;
+  /// (alphabetSize, enumerationLimit, constraint).
+  detail::Memo<std::tuple<int, std::size_t, Constraint>, StrengthRelation>
+      strengths;
+  /// (alphabetSize, universe, enumerationLimit, constraint).
+  detail::Memo<std::tuple<int, LabelSet, std::size_t, Constraint>,
+               std::vector<LabelSet>>
+      rightClosed;
+  detail::Memo<std::tuple<ZeroRoundMode, Problem>, bool> zeroRound;
+  detail::Memo<Problem, CanonicalForm> canonicals;
+  /// The intern set: canonical problems keyed by their canonical hash.
+  detail::Memo<Problem, std::monostate> interned;
   /// Aggregate across every session over this core.
   CacheStats stats;
   /// Durable write-through backing; consulted on memo misses.  Load/store
@@ -129,31 +106,41 @@ void EngineCore::resetStats() {
 // EngineSession
 // ---------------------------------------------------------------------------
 
-/// Counter references mirrored into the session's registry (the per-session
-/// CacheStats stay the source of truth for `--stats`; the registry is what
-/// run reports and counter-based tests read).  Interned once per session,
-/// ticked with relaxed atomic adds.  For scope-less sessions the registry is
-/// the global one, so names collide deliberately: globals aggregate.
+/// One cache kind's accounting: the CacheStats fields a lookup counts, and
+/// the registry counters they are mirrored into (null: not mirrored).
+struct EngineSession::MemoCounters {
+  std::size_t CacheStats::*hits;
+  std::size_t CacheStats::*misses;
+  obs::Counter* hit = nullptr;
+  obs::Counter* miss = nullptr;
+};
+
+/// Every kind's counters, with the registry mirrors interned once per
+/// session (the per-session CacheStats stay the source of truth for
+/// `--stats`; the registry is what run reports and counter-based tests
+/// read).  For scope-less sessions the registry is the global one, so names
+/// collide deliberately: globals aggregate.
 struct EngineSession::ObsHooks {
-  obs::Counter& memoHit;
-  obs::Counter& memoMiss;
-  obs::Counter& zeroRoundHit;
-  obs::Counter& zeroRoundMiss;
-  obs::Counter& canonicalHit;
-  obs::Counter& canonicalMiss;
-  obs::Counter& storeHit;
-  obs::Counter& storeMiss;
+  MemoCounters step, edgeCompat, strength, rightClosed, zeroRound, canonical;
+  /// Durable-store traffic: hits/misses of loads, plus writes.
+  MemoCounters store;
   obs::Counter& storeWrite;
 
   explicit ObsHooks(obs::Registry& r)
-      : memoHit(r.counter("engine.memo.hit")),
-        memoMiss(r.counter("engine.memo.miss")),
-        zeroRoundHit(r.counter("engine.zero_round.hit")),
-        zeroRoundMiss(r.counter("engine.zero_round.miss")),
-        canonicalHit(r.counter("engine.canonical.hit")),
-        canonicalMiss(r.counter("engine.canonical.miss")),
-        storeHit(r.counter("store.hit")),
-        storeMiss(r.counter("store.miss")),
+      : step{&CacheStats::stepHits, &CacheStats::stepMisses,
+             &r.counter("engine.memo.hit"), &r.counter("engine.memo.miss")},
+        edgeCompat{&CacheStats::edgeCompatHits, &CacheStats::edgeCompatMisses},
+        strength{&CacheStats::strengthHits, &CacheStats::strengthMisses},
+        rightClosed{&CacheStats::rightClosedHits,
+                    &CacheStats::rightClosedMisses},
+        zeroRound{&CacheStats::zeroRoundHits, &CacheStats::zeroRoundMisses,
+                  &r.counter("engine.zero_round.hit"),
+                  &r.counter("engine.zero_round.miss")},
+        canonical{&CacheStats::canonicalHits, &CacheStats::canonicalMisses,
+                  &r.counter("engine.canonical.hit"),
+                  &r.counter("engine.canonical.miss")},
+        store{&CacheStats::storeHits, &CacheStats::storeMisses,
+              &r.counter("store.hit"), &r.counter("store.miss")},
         storeWrite(r.counter("store.write")) {}
 };
 
@@ -169,9 +156,7 @@ EngineSession::EngineSession(PassOptions options)
       options_(options),
       registry_(&obs::Registry::global()),
       tracer_(&obs::Tracer::global()),
-      obs_(std::make_unique<ObsHooks>(*registry_)),
-      pipeline_(
-          std::make_unique<PassManager>(PassManager::speedupPipeline())) {}
+      obs_(std::make_unique<ObsHooks>(*registry_)) {}
 
 EngineSession::EngineSession(std::shared_ptr<EngineCore> core,
                              PassOptions options, obs::SessionScope* scope)
@@ -182,9 +167,7 @@ EngineSession::EngineSession(std::shared_ptr<EngineCore> core,
                                  : &obs::Registry::global()),
       tracer_(scope != nullptr ? &scope->tracer() : &obs::Tracer::global()),
       obs_(std::make_unique<ObsHooks>(*registry_)),
-      arenas_(std::make_unique<SessionArenas>()),
-      pipeline_(
-          std::make_unique<PassManager>(PassManager::speedupPipeline())) {
+      arenas_(std::make_unique<SessionArenas>()) {
   if (options_.arena == nullptr) options_.arena = &arenas_->results;
 }
 
@@ -194,116 +177,90 @@ void EngineSession::attachStore(std::shared_ptr<StepStorage> store) {
   core_->attachStore(std::move(store));
 }
 
-StepResult EngineSession::applyR(const Problem& p) {
-  const obs::ScopedSpan span("engine.applyR", *tracer_);
+void EngineSession::tally(std::size_t CacheStats::*field,
+                          obs::Counter* mirror) {
+  ++(core_->impl_->stats.*field);
+  ++(stats_.*field);
+  if (mirror != nullptr) mirror->add();
+}
+
+template <typename Table, typename Probe, typename Compute, typename Load,
+          typename Save>
+typename Table::Value EngineSession::memoized(Table& table,
+                                              const MemoCounters& counters,
+                                              std::uint64_t slot,
+                                              const Probe& probe,
+                                              Compute&& compute, Load&& load,
+                                              Save&& save) {
+  constexpr bool kDurable = !std::is_null_pointer_v<std::decay_t<Load>>;
+  using Key = typename Table::Key;
+  using Value = typename Table::Value;
   EngineCore::Impl& impl = *core_->impl_;
-  const std::uint64_t hash = structuralHash(p);
-  const std::uint64_t key = mixKey(0, hash);
   std::shared_ptr<StepStorage> storage;
   {
     std::lock_guard lock(impl.mutex);
-    const auto it = impl.steps.find(key);
-    if (it != impl.steps.end()) {
-      for (const auto& e : it->second) {
-        if (e.kind == 0 && e.input == p) {
-          ++impl.stats.stepHits;
-          ++stats_.stepHits;
-          obs_->memoHit.add();
-          return e.result;
-        }
+    if (const Value* hit = table.find(slot, probe)) {
+      tally(counters.hits, counters.hit);
+      return *hit;
+    }
+    if constexpr (kDurable) storage = impl.storage;
+  }
+  if constexpr (kDurable) {
+    if (storage != nullptr) {
+      if (std::optional<Value> loaded = load(*storage)) {
+        // A store hit fills the memo without counting a miss.
+        std::lock_guard lock(impl.mutex);
+        tally(obs_->store.hits, obs_->store.hit);
+        table.insert(slot, Key(probe), *loaded);
+        return *std::move(loaded);
       }
-    }
-    storage = impl.storage;
-  }
-  if (storage != nullptr) {
-    if (auto loaded = storage->loadStep(0, p, hash, options_)) {
       std::lock_guard lock(impl.mutex);
-      ++impl.stats.storeHits;
-      ++stats_.storeHits;
-      obs_->storeHit.add();
-      impl.steps[key].push_back({0, p, options_.maxRbarDelta,
-                                 options_.enumerationLimit, *loaded});
-      return *std::move(loaded);
+      tally(obs_->store.misses, obs_->store.miss);
     }
-    std::lock_guard lock(impl.mutex);
-    ++impl.stats.storeMisses;
-    ++stats_.storeMisses;
-    obs_->storeMiss.add();
   }
-  StepResult result = detail::applyRImpl(p, options_, this);
+  Value value = compute();
   {
     std::lock_guard lock(impl.mutex);
-    ++impl.stats.stepMisses;
-    ++stats_.stepMisses;
-    obs_->memoMiss.add();
-    impl.steps[key].push_back(
-        {0, p, options_.maxRbarDelta, options_.enumerationLimit, result});
+    tally(counters.misses, counters.miss);
+    table.insert(slot, Key(probe), value);
   }
-  if (storage != nullptr) {
-    storage->storeStep(0, p, hash, options_, result);
-    std::lock_guard lock(impl.mutex);
-    ++impl.stats.storeWrites;
-    ++stats_.storeWrites;
-    obs_->storeWrite.add();
+  if constexpr (kDurable) {
+    if (storage != nullptr) {
+      save(*storage, value);
+      std::lock_guard lock(impl.mutex);
+      tally(&CacheStats::storeWrites, &obs_->storeWrite);
+    }
   }
-  return result;
+  return value;
+}
+
+StepResult EngineSession::step(int kind, const Problem& p) {
+  const std::uint64_t hash = structuralHash(p);
+  // R reads no Rbar guard: its entries store both as 0, so an R hit matches
+  // whatever guards the asking session carries.
+  const Count maxRbarDelta = kind == 1 ? options_.maxRbarDelta : 0;
+  const std::size_t limit = kind == 1 ? options_.enumerationLimit : 0;
+  return memoized(
+      core_->impl_->steps, obs_->step, mixKey(kind, hash),
+      std::tie(kind, maxRbarDelta, limit, p),
+      [&] {
+        return kind == 0 ? detail::applyRImpl(p, options_, this)
+                         : detail::applyRbarImpl(p, options_, this);
+      },
+      [&](StepStorage& s) { return s.loadStep(kind, p, hash, options_); },
+      [&](StepStorage& s, const StepResult& r) {
+        s.storeStep(kind, p, hash, options_, r);
+      });
+}
+
+StepResult EngineSession::applyR(const Problem& p) {
+  const obs::ScopedSpan span("engine.applyR", *tracer_);
+  return step(0, p);
 }
 
 StepResult EngineSession::applyRbar(const Problem& p) {
   const obs::ScopedSpan span("engine.applyRbar", *tracer_);
-  EngineCore::Impl& impl = *core_->impl_;
-  const std::uint64_t hash = structuralHash(p);
-  const std::uint64_t key = mixKey(1, hash);
-  std::shared_ptr<StepStorage> storage;
-  {
-    std::lock_guard lock(impl.mutex);
-    const auto it = impl.steps.find(key);
-    if (it != impl.steps.end()) {
-      for (const auto& e : it->second) {
-        if (e.kind == 1 && e.input == p &&
-            e.maxRbarDelta == options_.maxRbarDelta &&
-            e.enumerationLimit == options_.enumerationLimit) {
-          ++impl.stats.stepHits;
-          ++stats_.stepHits;
-          obs_->memoHit.add();
-          return e.result;
-        }
-      }
-    }
-    storage = impl.storage;
-  }
-  if (storage != nullptr) {
-    if (auto loaded = storage->loadStep(1, p, hash, options_)) {
-      std::lock_guard lock(impl.mutex);
-      ++impl.stats.storeHits;
-      ++stats_.storeHits;
-      obs_->storeHit.add();
-      impl.steps[key].push_back({1, p, options_.maxRbarDelta,
-                                 options_.enumerationLimit, *loaded});
-      return *std::move(loaded);
-    }
-    std::lock_guard lock(impl.mutex);
-    ++impl.stats.storeMisses;
-    ++stats_.storeMisses;
-    obs_->storeMiss.add();
-  }
-  StepResult result = detail::applyRbarImpl(p, options_, this);
-  {
-    std::lock_guard lock(impl.mutex);
-    ++impl.stats.stepMisses;
-    ++stats_.stepMisses;
-    obs_->memoMiss.add();
-    impl.steps[key].push_back(
-        {1, p, options_.maxRbarDelta, options_.enumerationLimit, result});
-  }
-  if (storage != nullptr) {
-    storage->storeStep(1, p, hash, options_, result);
-    std::lock_guard lock(impl.mutex);
-    ++impl.stats.storeWrites;
-    ++stats_.storeWrites;
-    obs_->storeWrite.add();
-  }
-  return result;
+  return step(1, p);
 }
 
 Problem EngineSession::speedupStep(const Problem& p) {
@@ -312,203 +269,78 @@ Problem EngineSession::speedupStep(const Problem& p) {
 
 std::vector<LabelSet> EngineSession::edgeCompatibility(const Constraint& edge,
                                                        int alphabetSize) {
-  EngineCore::Impl& impl = *core_->impl_;
-  const std::uint64_t key =
-      mixKey(structuralHash(edge), static_cast<std::uint64_t>(alphabetSize));
-  {
-    std::lock_guard lock(impl.mutex);
-    const auto it = impl.edgeCompat.find(key);
-    if (it != impl.edgeCompat.end()) {
-      for (const auto& e : it->second) {
-        if (e.alphabetSize == alphabetSize && e.edge == edge) {
-          ++impl.stats.edgeCompatHits;
-          ++stats_.edgeCompatHits;
-          return e.compat;
-        }
-      }
-    }
-  }
-  std::vector<LabelSet> compat = re::edgeCompatibility(edge, alphabetSize);
-  std::lock_guard lock(impl.mutex);
-  ++impl.stats.edgeCompatMisses;
-  ++stats_.edgeCompatMisses;
-  impl.edgeCompat[key].push_back({edge, alphabetSize, compat});
-  return compat;
+  return memoized(
+      core_->impl_->edgeCompat, obs_->edgeCompat,
+      mixKey(structuralHash(edge), static_cast<std::uint64_t>(alphabetSize)),
+      std::tie(alphabetSize, edge),
+      [&] { return re::edgeCompatibility(edge, alphabetSize); });
 }
 
 StrengthRelation EngineSession::strength(const Constraint& constraint,
                                          int alphabetSize,
                                          std::size_t enumerationLimit) {
-  EngineCore::Impl& impl = *core_->impl_;
-  const std::uint64_t key = mixKey(
-      mixKey(structuralHash(constraint),
-             static_cast<std::uint64_t>(alphabetSize)),
-      enumerationLimit);
-  {
-    std::lock_guard lock(impl.mutex);
-    const auto it = impl.strengths.find(key);
-    if (it != impl.strengths.end()) {
-      for (const auto& e : it->second) {
-        if (e.alphabetSize == alphabetSize && e.limit == enumerationLimit &&
-            e.constraint == constraint) {
-          ++impl.stats.strengthHits;
-          ++stats_.strengthHits;
-          return e.relation;
-        }
-      }
-    }
-  }
-  StrengthRelation relation =
-      computeStrength(constraint, alphabetSize, enumerationLimit);
-  std::lock_guard lock(impl.mutex);
-  ++impl.stats.strengthMisses;
-  ++stats_.strengthMisses;
-  impl.strengths[key].push_back(
-      {constraint, alphabetSize, enumerationLimit, relation});
-  return relation;
+  return memoized(
+      core_->impl_->strengths, obs_->strength,
+      mixKey(mixKey(structuralHash(constraint),
+                    static_cast<std::uint64_t>(alphabetSize)),
+             enumerationLimit),
+      std::tie(alphabetSize, enumerationLimit, constraint), [&] {
+        return computeStrength(constraint, alphabetSize, enumerationLimit);
+      });
 }
 
 std::vector<LabelSet> EngineSession::rightClosedSets(
     const Constraint& constraint, int alphabetSize, LabelSet universe,
     std::size_t enumerationLimit) {
-  EngineCore::Impl& impl = *core_->impl_;
-  const std::uint64_t key = mixKey(
-      mixKey(mixKey(structuralHash(constraint),
-                    static_cast<std::uint64_t>(alphabetSize)),
-             universe.bits()),
-      enumerationLimit);
-  {
-    std::lock_guard lock(impl.mutex);
-    const auto it = impl.rightClosed.find(key);
-    if (it != impl.rightClosed.end()) {
-      for (const auto& e : it->second) {
-        if (e.alphabetSize == alphabetSize && e.universe == universe &&
-            e.limit == enumerationLimit && e.constraint == constraint) {
-          ++impl.stats.rightClosedHits;
-          ++stats_.rightClosedHits;
-          return e.sets;
-        }
-      }
-    }
-  }
-  std::vector<LabelSet> sets =
-      strength(constraint, alphabetSize, enumerationLimit)
-          .allRightClosedSets(universe);
-  std::lock_guard lock(impl.mutex);
-  ++impl.stats.rightClosedMisses;
-  ++stats_.rightClosedMisses;
-  impl.rightClosed[key].push_back(
-      {constraint, alphabetSize, universe, enumerationLimit, sets});
-  return sets;
+  return memoized(
+      core_->impl_->rightClosed, obs_->rightClosed,
+      mixKey(mixKey(mixKey(structuralHash(constraint),
+                           static_cast<std::uint64_t>(alphabetSize)),
+                    universe.bits()),
+             enumerationLimit),
+      std::tie(alphabetSize, universe, enumerationLimit, constraint), [&] {
+        return strength(constraint, alphabetSize, enumerationLimit)
+            .allRightClosedSets(universe);
+      });
 }
 
 bool EngineSession::zeroRoundSolvable(const Problem& p, ZeroRoundMode mode) {
   const obs::ScopedSpan span("engine.zeroRound", *tracer_);
-  EngineCore::Impl& impl = *core_->impl_;
   const std::uint64_t hash = structuralHash(p);
-  const std::uint64_t key =
-      mixKey(static_cast<std::uint64_t>(mode) + 7, hash);
-  std::shared_ptr<StepStorage> storage;
-  {
-    std::lock_guard lock(impl.mutex);
-    const auto it = impl.zeroRound.find(key);
-    if (it != impl.zeroRound.end()) {
-      for (const auto& e : it->second) {
-        if (e.mode == mode && e.input == p) {
-          ++impl.stats.zeroRoundHits;
-          ++stats_.zeroRoundHits;
-          obs_->zeroRoundHit.add();
-          return e.solvable;
+  return memoized(
+      core_->impl_->zeroRound, obs_->zeroRound,
+      mixKey(static_cast<std::uint64_t>(mode) + 7, hash), std::tie(mode, p),
+      [&] {
+        switch (mode) {
+          case ZeroRoundMode::kSymmetricPorts:
+            return zeroRoundSolvableSymmetricPorts(p);
+          case ZeroRoundMode::kAdversarialPorts:
+            return zeroRoundSolvableAdversarialPorts(p);
+          case ZeroRoundMode::kWithEdgeInputs:
+            return zeroRoundSolvableWithEdgeInputs(p);
         }
-      }
-    }
-    storage = impl.storage;
-  }
-  if (storage != nullptr) {
-    if (const auto loaded = storage->loadZeroRound(mode, p, hash)) {
-      std::lock_guard lock(impl.mutex);
-      ++impl.stats.storeHits;
-      ++stats_.storeHits;
-      obs_->storeHit.add();
-      impl.zeroRound[key].push_back({p, mode, *loaded});
-      return *loaded;
-    }
-    std::lock_guard lock(impl.mutex);
-    ++impl.stats.storeMisses;
-    ++stats_.storeMisses;
-    obs_->storeMiss.add();
-  }
-  bool solvable = false;
-  switch (mode) {
-    case ZeroRoundMode::kSymmetricPorts:
-      solvable = zeroRoundSolvableSymmetricPorts(p);
-      break;
-    case ZeroRoundMode::kAdversarialPorts:
-      solvable = zeroRoundSolvableAdversarialPorts(p);
-      break;
-    case ZeroRoundMode::kWithEdgeInputs:
-      solvable = zeroRoundSolvableWithEdgeInputs(p);
-      break;
-  }
-  {
-    std::lock_guard lock(impl.mutex);
-    ++impl.stats.zeroRoundMisses;
-    ++stats_.zeroRoundMisses;
-    obs_->zeroRoundMiss.add();
-    impl.zeroRound[key].push_back({p, mode, solvable});
-  }
-  if (storage != nullptr) {
-    storage->storeZeroRound(mode, p, hash, solvable);
-    std::lock_guard lock(impl.mutex);
-    ++impl.stats.storeWrites;
-    ++stats_.storeWrites;
-    obs_->storeWrite.add();
-  }
-  return solvable;
+        return false;
+      },
+      [&](StepStorage& s) { return s.loadZeroRound(mode, p, hash); },
+      [&](StepStorage& s, bool solvable) {
+        s.storeZeroRound(mode, p, hash, solvable);
+      });
 }
 
 EngineSession::InternResult EngineSession::intern(const Problem& p) {
   const obs::ScopedSpan span("engine.intern", *tracer_);
   EngineCore::Impl& impl = *core_->impl_;
-  const std::uint64_t exactKey = structuralHash(p);
-  std::optional<CanonicalForm> form;
-  {
-    std::lock_guard lock(impl.mutex);
-    const auto it = impl.canonicals.find(exactKey);
-    if (it != impl.canonicals.end()) {
-      for (const auto& e : it->second) {
-        if (e.input == p) {
-          ++impl.stats.canonicalHits;
-          ++stats_.canonicalHits;
-          obs_->canonicalHit.add();
-          form = e.form;
-          break;
-        }
-      }
-    }
-  }
-  if (!form) {
-    form = canonicalize(p);
-    std::lock_guard lock(impl.mutex);
-    ++impl.stats.canonicalMisses;
-    ++stats_.canonicalMisses;
-    obs_->canonicalMiss.add();
-    impl.canonicals[exactKey].push_back({p, *form});
-  }
-
   InternResult result;
-  result.hash = form->hash;
-  result.canonical = std::move(*form);
+  result.canonical = memoized(impl.canonicals, obs_->canonical,
+                              structuralHash(p), p,
+                              [&] { return canonicalize(p); });
+  result.hash = result.canonical.hash;
   std::lock_guard lock(impl.mutex);
-  auto& orbit = impl.interned[result.hash];
   result.alreadyInterned =
-      std::any_of(orbit.begin(), orbit.end(), [&](const Problem& q) {
-        return q == result.canonical.problem;
-      });
+      impl.interned.find(result.hash, result.canonical.problem) != nullptr;
   if (!result.alreadyInterned) {
-    orbit.push_back(result.canonical.problem);
-    ++impl.stats.internedProblems;
-    ++stats_.internedProblems;
+    impl.interned.insert(result.hash, result.canonical.problem, {});
+    tally(&CacheStats::internedProblems, nullptr);
   }
   return result;
 }
@@ -523,168 +355,38 @@ void EngineSession::resetStats() {
   stats_ = CacheStats{};
 }
 
-// ---------------------------------------------------------------------------
-// Passes
-// ---------------------------------------------------------------------------
-
-namespace {
-
-class ApplyRPass final : public Pass {
- public:
-  [[nodiscard]] std::string_view name() const override { return "ApplyR"; }
-  [[nodiscard]] PassOutput run(const PassInput& in) override {
-    StepResult r = in.context.applyR(in.problem);
-    PassOutput out;
-    out.problem = std::move(r.problem);
-    out.meaning = std::move(r.meaning);
-    return out;
-  }
-};
-
-class ApplyRbarPass final : public Pass {
- public:
-  [[nodiscard]] std::string_view name() const override { return "ApplyRbar"; }
-  [[nodiscard]] PassOutput run(const PassInput& in) override {
-    StepResult r = in.context.applyRbar(in.problem);
-    PassOutput out;
-    out.problem = std::move(r.problem);
-    out.meaning = std::move(r.meaning);
-    return out;
-  }
-};
-
-class RenamePass final : public Pass {
- public:
-  [[nodiscard]] std::string_view name() const override { return "Rename"; }
-  [[nodiscard]] PassOutput run(const PassInput& in) override {
-    auto interned = in.context.intern(in.problem);
-    PassOutput out;
-    out.problem = std::move(interned.canonical.problem);
-    out.note = interned.alreadyInterned ? "canonical form already interned"
-                                        : "fresh canonical form";
-    return out;
-  }
-};
-
-class RelaxPass final : public Pass {
- public:
-  [[nodiscard]] std::string_view name() const override { return "Relax"; }
-  [[nodiscard]] PassOutput run(const PassInput& in) override {
-    PassOutput out;
-    out.problem = in.problem;
-    const std::size_t nodeBefore = out.problem.node.size();
-    const std::size_t edgeBefore = out.problem.edge.size();
-    out.problem.node.removeDominatedConfigurations();
-    out.problem.edge.removeDominatedConfigurations();
-    out.note = "dropped " +
-               std::to_string((nodeBefore - out.problem.node.size()) +
-                              (edgeBefore - out.problem.edge.size())) +
-               " dominated configuration(s)";
-    return out;
-  }
-};
-
-class ZeroRoundCheckPass final : public Pass {
- public:
-  explicit ZeroRoundCheckPass(ZeroRoundMode mode) : mode_(mode) {}
-  [[nodiscard]] std::string_view name() const override {
-    return "ZeroRoundCheck";
-  }
-  [[nodiscard]] PassOutput run(const PassInput& in) override {
-    PassOutput out;
-    out.problem = in.problem;
-    const bool solvable = in.context.zeroRoundSolvable(in.problem, mode_);
-    out.stop = solvable;
-    out.note = solvable ? "0-round solvable; pipeline stopped"
-                        : "not 0-round solvable";
-    return out;
-  }
-
- private:
-  ZeroRoundMode mode_;
-};
-
-}  // namespace
-
-std::unique_ptr<Pass> makeApplyRPass() {
-  return std::make_unique<ApplyRPass>();
-}
-std::unique_ptr<Pass> makeApplyRbarPass() {
-  return std::make_unique<ApplyRbarPass>();
-}
-std::unique_ptr<Pass> makeRenamePass() {
-  return std::make_unique<RenamePass>();
-}
-std::unique_ptr<Pass> makeRelaxPass() {
-  return std::make_unique<RelaxPass>();
-}
-std::unique_ptr<Pass> makeZeroRoundCheckPass(ZeroRoundMode mode) {
-  return std::make_unique<ZeroRoundCheckPass>(mode);
-}
-
-// ---------------------------------------------------------------------------
-// PassManager
-// ---------------------------------------------------------------------------
-
-PassManager& PassManager::add(std::unique_ptr<Pass> pass) {
-  passes_.push_back(std::move(pass));
-  return *this;
-}
-
-PassManager PassManager::speedupPipeline() {
-  PassManager pm;
-  pm.add(makeApplyRPass());
-  pm.add(makeApplyRbarPass());
-  return pm;
-}
-
-PipelineResult PassManager::run(const Problem& p,
-                                EngineSession& session) const {
+PipelineResult EngineSession::speedupStepWithStats(const Problem& p) {
   PipelineResult out;
-  Problem current = p;
-  for (std::size_t i = 0; i < passes_.size(); ++i) {
-    Pass& pass = *passes_[i];
+  out.problem = p;
+  for (const bool rbar : {false, true}) {
     PassStats st;
-    st.name = std::string(pass.name());
-    st.labelsIn = current.alphabet.size();
-    st.nodeConfigsIn = current.node.size();
-    st.edgeConfigsIn = current.edge.size();
-    const CacheStats before = session.stats();
-    const std::string spanName = "pass." + st.name;
+    st.name = rbar ? "ApplyRbar" : "ApplyR";
+    st.labelsIn = out.problem.alphabet.size();
+    st.nodeConfigsIn = out.problem.node.size();
+    st.edgeConfigsIn = out.problem.edge.size();
+    const CacheStats before = stats();
     const auto t0 = std::chrono::steady_clock::now();
-    PassOutput po;
+    StepResult r;
     {
-      const obs::ScopedSpan span(spanName, session.tracer());
-      po = pass.run({current, session, session.options()});
+      const obs::ScopedSpan span(rbar ? "pass.ApplyRbar" : "pass.ApplyR",
+                                 *tracer_);
+      r = rbar ? applyRbar(out.problem) : applyR(out.problem);
     }
     const auto t1 = std::chrono::steady_clock::now();
-    const CacheStats after = session.stats();
+    const CacheStats after = stats();
     st.wallMicros =
         std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count();
     st.fromCache = after.stepHits > before.stepHits &&
                    after.stepMisses == before.stepMisses;
-    current = std::move(po.problem);
-    {
-      session.registry().gauge("re.labels.last")
-          .set(static_cast<std::int64_t>(current.alphabet.size()));
-      obs::Tracer& tracer = session.tracer();
-      if (tracer.enabled()) {
-        tracer.counter("re.labels.last",
-                       static_cast<std::int64_t>(current.alphabet.size()));
-      }
-    }
-    st.labelsOut = current.alphabet.size();
-    st.nodeConfigsOut = current.node.size();
-    st.edgeConfigsOut = current.edge.size();
-    st.note = std::move(po.note);
+    out.problem = std::move(r.problem);
+    const auto labels = static_cast<std::int64_t>(out.problem.alphabet.size());
+    registry_->gauge("re.labels.last").set(labels);
+    if (tracer_->enabled()) tracer_->counter("re.labels.last", labels);
+    st.labelsOut = out.problem.alphabet.size();
+    st.nodeConfigsOut = out.problem.node.size();
+    st.edgeConfigsOut = out.problem.edge.size();
     out.passes.push_back(std::move(st));
-    if (po.stop) {
-      out.stopped = true;
-      out.stoppedAt = i;
-      break;
-    }
   }
-  out.problem = std::move(current);
   return out;
 }
 
@@ -719,10 +421,6 @@ std::string PipelineResult::renderStatsTable() const {
       }
     }
     out += '\n';
-  }
-  if (stopped) {
-    out += "(pipeline stopped at pass " + std::to_string(stoppedAt) + ": " +
-           passes[stoppedAt].name + ")\n";
   }
   return out;
 }

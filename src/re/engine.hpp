@@ -1,4 +1,4 @@
-// The pass-based engine, split at the sharing seam into EngineCore and
+// The memoizing speedup engine, split at the sharing seam into EngineCore and
 // EngineSession.
 //
 // EngineCore is the thread-safe SHARED half: it owns every cache the speedup
@@ -17,12 +17,12 @@
 // bit-identical to cold computes regardless of who warmed the cache.
 //
 // EngineSession is the cheap PER-REQUEST half: its own StepOptions, its own
-// result arena backing the serial Rbar sweep, its own pass manager, and an
-// observability scope (a session-local metric registry and tracer handle,
-// see obs/scope.hpp) so concurrent requests produce attributable counter and
-// span streams.  Creating a session performs a fixed, small amount of work
-// (interning a handful of counter names, two empty arenas) -- it is meant to
-// be done once per request, and session reuse re-uses the arenas.
+// result arena backing the serial Rbar sweep, and an observability scope
+// (a session-local metric registry and tracer handle, see obs/scope.hpp) so
+// concurrent requests produce attributable counter and span streams.
+// Creating a session performs a fixed, small amount of work (interning a
+// handful of counter names, two empty arenas) -- it is meant to be done once
+// per request, and session reuse re-uses the arenas.
 //
 // Lifetime and sharing rules (docs/architecture.md has the diagram):
 //   * core outlives every session over it (sessions hold a shared_ptr, so
@@ -37,27 +37,25 @@
 //     arena thread-local, so it remains safe to hammer one EngineContext
 //     from many threads as the pre-split tests do.
 //
-// The speedup step itself is decomposed into composable passes with a
-// uniform run(PassInput) -> PassOutput interface; PassManager chains them
-// and records per-pass statistics (wall time, configurations in/out, labels
-// in/out, cache provenance).  The default pipeline ApplyR -> ApplyRbar is
-// bit-identical to the legacy free functions applyR/applyRbar/speedupStep
-// in re_step.hpp, which remain as thin uncached wrappers.
+// speedupStepWithStats runs the step as its two operators, R then Rbar, and
+// records a statistics row for each (wall time, configurations in/out,
+// labels in/out, cache provenance).  Every memoized result is bit-identical
+// to the free functions applyR/applyRbar/speedupStep in re_step.hpp, which
+// remain as thin uncached wrappers.
 //
-// Thread-safety: core lookups and insertions are mutex-protected; a
+// Thread-safety: every cache is one detail::Memo table (memo.hpp) behind the
+// core's mutex, filled through one sequence, EngineSession::memoized; a
 // computation happens outside the lock, so two sessions missing the same key
 // concurrently may both compute it (the first insert wins and the results
 // are identical anyway).  Statistics counters -- the core-wide aggregate and
 // each session's own view -- are updated under the same mutex.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "re/canonical.hpp"
@@ -65,6 +63,7 @@
 #include "re/re_step.hpp"
 
 namespace relb::obs {
+class Counter;
 class Registry;
 class SessionScope;
 class Tracer;
@@ -72,9 +71,9 @@ class Tracer;
 
 namespace relb::re {
 
-/// The pipeline's option block.  StepOptions carries exactly the knobs the
-/// passes need (enumeration guards + fan-out width), so it *is* the pass
-/// option type; the alias is the refactor seam promised in docs.
+/// A session's option block.  StepOptions carries exactly the knobs the
+/// engine needs (enumeration guards + fan-out width); the alias is the name
+/// sessions and their callers use for it.
 using PassOptions = StepOptions;
 
 /// Counters for every cache.  `hits + misses` is the number of lookups;
@@ -98,6 +97,32 @@ struct CacheStats {
   std::size_t storeHits = 0, storeMisses = 0, storeWrites = 0;
 
   [[nodiscard]] std::string describe() const;
+};
+
+/// One row of the `--stats` table: an operator's wall time, its input and
+/// output sizes, and whether the step memo served it.
+struct PassStats {
+  std::string name;
+  std::int64_t wallMicros = 0;
+  int labelsIn = 0;
+  int labelsOut = 0;
+  std::size_t nodeConfigsIn = 0;
+  std::size_t nodeConfigsOut = 0;
+  std::size_t edgeConfigsIn = 0;
+  std::size_t edgeConfigsOut = 0;
+  /// True iff the operator was served from the step memo.
+  bool fromCache = false;
+  std::string note;
+};
+
+/// A speedup step together with its per-operator rows (see
+/// EngineSession::speedupStepWithStats).
+struct PipelineResult {
+  Problem problem;
+  std::vector<PassStats> passes;
+
+  /// Renders the per-pass table printed by `round_eliminator_cli --stats`.
+  [[nodiscard]] std::string renderStatsTable() const;
 };
 
 /// Which zero-round analysis a cached verdict belongs to.
@@ -255,11 +280,13 @@ class EngineSession {
   /// canonical.hpp); callers needing a fallback should catch it.
   [[nodiscard]] InternResult intern(const Problem& p);
 
-  // -- Pass pipeline -------------------------------------------------------
+  // -- Instrumented speedup step -------------------------------------------
 
-  /// This session's pass manager (defaults to the speedup pipeline
-  /// ApplyR -> ApplyRbar); replace or extend it per request.
-  [[nodiscard]] class PassManager& pipeline() { return *pipeline_; }
+  /// speedupStep(p) with one PassStats row per operator (ApplyR, then
+  /// ApplyRbar): the per-step table of `round_eliminator_cli --stats`.
+  /// Emits a `pass.ApplyR` / `pass.ApplyRbar` span around each operator and
+  /// sets the `re.labels.last` gauge after each.
+  [[nodiscard]] PipelineResult speedupStepWithStats(const Problem& p);
 
   // -- Statistics ----------------------------------------------------------
 
@@ -269,8 +296,25 @@ class EngineSession {
   void resetStats();
 
  private:
-  struct ObsHooks;       // interned counter references (engine.cpp)
+  struct MemoCounters;   // one cache kind's counters (engine.cpp)
+  struct ObsHooks;       // every kind's counters, interned (engine.cpp)
   struct SessionArenas;  // serial-sweep result arena (engine.cpp)
+
+  /// The one memoization sequence behind every cache (engine.cpp): locked
+  /// lookup, optional durable-store load, compute outside the lock, insert,
+  /// and the hit/miss/store counts.  `load`/`save` are null for the kinds
+  /// that have no durable store.
+  template <typename Table, typename Probe, typename Compute,
+            typename Load = std::nullptr_t, typename Save = std::nullptr_t>
+  typename Table::Value memoized(Table& table, const MemoCounters& counters,
+                                 std::uint64_t slot, const Probe& probe,
+                                 Compute&& compute, Load&& load = nullptr,
+                                 Save&& save = nullptr);
+  /// Memoized R (kind 0) or Rbar (kind 1) of `p`.
+  StepResult step(int kind, const Problem& p);
+  /// Counts one event in the core aggregate, this session's stats and the
+  /// registry mirror (when non-null).  Caller holds the core mutex.
+  void tally(std::size_t CacheStats::*field, obs::Counter* mirror);
 
   std::shared_ptr<EngineCore> core_;
   PassOptions options_;
@@ -278,98 +322,9 @@ class EngineSession {
   obs::Tracer* tracer_;
   std::unique_ptr<ObsHooks> obs_;
   std::unique_ptr<SessionArenas> arenas_;
-  std::unique_ptr<class PassManager> pipeline_;
   /// Session-attributed stats; guarded by the core's mutex (every update
   /// site already holds it).
   CacheStats stats_;
 };
-
-// ---------------------------------------------------------------------------
-// Pass pipeline
-// ---------------------------------------------------------------------------
-
-struct PassInput {
-  const Problem& problem;
-  EngineSession& context;
-  const PassOptions& options;
-};
-
-struct PassOutput {
-  Problem problem;
-  /// Set by the R / Rbar passes: meaning[newLabel] = set of input labels.
-  std::optional<std::vector<LabelSet>> meaning;
-  /// A pass may stop the pipeline (e.g. ZeroRoundCheck on a solvable
-  /// problem); the manager records the stop and skips the remaining passes.
-  bool stop = false;
-  /// Free-form annotation copied into the pass's stats row.
-  std::string note;
-};
-
-/// Per-pass observability record, filled by PassManager.
-struct PassStats {
-  std::string name;
-  std::int64_t wallMicros = 0;
-  int labelsIn = 0;
-  int labelsOut = 0;
-  std::size_t nodeConfigsIn = 0;
-  std::size_t nodeConfigsOut = 0;
-  std::size_t edgeConfigsIn = 0;
-  std::size_t edgeConfigsOut = 0;
-  /// True iff the pass was served from the step memo.
-  bool fromCache = false;
-  std::string note;
-};
-
-class Pass {
- public:
-  virtual ~Pass() = default;
-  [[nodiscard]] virtual std::string_view name() const = 0;
-  [[nodiscard]] virtual PassOutput run(const PassInput& in) = 0;
-};
-
-struct PipelineResult {
-  Problem problem;
-  std::vector<PassStats> passes;
-  /// True iff some pass requested a stop; `stoppedAt` is its index.
-  bool stopped = false;
-  std::size_t stoppedAt = 0;
-
-  /// Renders the per-pass table printed by `round_eliminator_cli --stats`.
-  [[nodiscard]] std::string renderStatsTable() const;
-};
-
-class PassManager {
- public:
-  PassManager() = default;
-  PassManager(PassManager&&) = default;
-  PassManager& operator=(PassManager&&) = default;
-
-  PassManager& add(std::unique_ptr<Pass> pass);
-  [[nodiscard]] std::size_t size() const { return passes_.size(); }
-
-  /// Runs the pipeline on `p`, using (and warming) the session's caches.
-  [[nodiscard]] PipelineResult run(const Problem& p,
-                                   EngineSession& session) const;
-
-  /// The default speedup pipeline ApplyR -> ApplyRbar: bit-identical to
-  /// re_step.hpp's speedupStep.
-  [[nodiscard]] static PassManager speedupPipeline();
-
- private:
-  std::vector<std::unique_ptr<Pass>> passes_;
-};
-
-// Built-in pass factories.
-[[nodiscard]] std::unique_ptr<Pass> makeApplyRPass();
-[[nodiscard]] std::unique_ptr<Pass> makeApplyRbarPass();
-/// Renames the problem to its canonical form (synthetic label names).
-[[nodiscard]] std::unique_ptr<Pass> makeRenamePass();
-/// Drops configurations dominated by another configuration of the same
-/// constraint (language unchanged).
-[[nodiscard]] std::unique_ptr<Pass> makeRelaxPass();
-/// Annotates zero-round solvability (cached); stops the pipeline when the
-/// problem is solvable in the given model.
-[[nodiscard]] std::unique_ptr<Pass> makeZeroRoundCheckPass(
-    ZeroRoundMode mode = ZeroRoundMode::kAdversarialPorts);
 
 }  // namespace relb::re

@@ -10,6 +10,7 @@ thread_local bool tlsInsideWorker = false;
 
 int resolveThreadCount(int requested) {
   if (requested > 0) return requested;
+  if (requested < 0) return 1;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
@@ -58,10 +59,11 @@ void ThreadPool::spawnWorkersLocked(int count) {
 
 void ThreadPool::runItems(const std::function<void(std::size_t)>* fn,
                           std::size_t n) {
-  // `fn` may be a stale pointer on a worker that wakes after its batch
-  // already drained; it is dereferenced only once an item is claimed, which
-  // cannot happen then (nextIndex_ stays >= n until the next batch resets
-  // every field together under the mutex).
+  // `fn` is the live batch's job: a worker joins a batch only while job_ is
+  // set, and the caller clears job_ only after every joined worker has left.
+  // A worker that wakes after its batch drained must not get here -- by the
+  // time it runs, the next batch may have reset nextIndex_ to 0, and it
+  // would claim that batch's items through a stale `fn` and `n`.
   for (;;) {
     const std::size_t i = nextIndex_.fetch_add(1, std::memory_order_relaxed);
     if (i >= n) return;
@@ -83,6 +85,7 @@ void ThreadPool::workerLoop() {
     hasWork_.wait(lock, [&] { return stop_ || generation_ != seen; });
     if (stop_) return;
     seen = generation_;
+    if (job_ == nullptr) continue;  // woke after the batch drained
     const auto* job = job_;
     const std::size_t n = jobSize_;
     ++running_;

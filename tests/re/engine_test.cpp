@@ -1,5 +1,5 @@
-// The pass-based engine core (engine.hpp): cache hits are bit-identical to
-// cold runs, per-pass statistics are consistent across the pipeline, warm
+// The memoizing engine core (engine.hpp): cache hits are bit-identical to
+// cold runs, per-operator statistics are consistent across the step, warm
 // contexts perform zero recomputation for certifyChain / the speedup
 // iteration, and canonical interning detects renamed duplicates.
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "re/engine.hpp"
 #include "re/problem.hpp"
 #include "re/rename.hpp"
-#include "re/zero_round.hpp"
 #include "util/thread_pool.hpp"
 
 namespace relb::re {
@@ -78,8 +77,7 @@ TEST(EngineContext, ApplyRApplyRbarMatchFreeFunctions) {
 TEST(PassPipeline, MatchesSpeedupStepAndStatsAreConsistent) {
   for (const auto& [name, p] : speedupTestbed()) {
     EngineContext ctx;
-    const PassManager pipeline = PassManager::speedupPipeline();
-    const PipelineResult result = pipeline.run(p, ctx);
+    const PipelineResult result = ctx.speedupStepWithStats(p);
     expectProblemsBitIdentical(speedupStep(p), result.problem, name);
     ASSERT_EQ(result.passes.size(), 2u) << name;
     // Boundary consistency: what leaves pass k enters pass k+1.
@@ -102,46 +100,11 @@ TEST(PassPipeline, MatchesSpeedupStepAndStatsAreConsistent) {
     EXPECT_EQ(result.passes.back().nodeConfigsOut, result.problem.node.size())
         << name;
     EXPECT_FALSE(result.passes[0].fromCache) << name;
-    // A second pipeline run over the warm context is served from the memo.
-    const PipelineResult warm = pipeline.run(p, ctx);
+    // A second run over the warm context is served from the memo.
+    const PipelineResult warm = ctx.speedupStepWithStats(p);
     expectProblemsBitIdentical(result.problem, warm.problem, name + " warm");
     EXPECT_TRUE(warm.passes[0].fromCache) << name;
     EXPECT_TRUE(warm.passes[1].fromCache) << name;
-  }
-}
-
-TEST(PassPipeline, ZeroRoundCheckStopsOnSolvableProblem) {
-  // Every node may output A everywhere: trivially 0-round solvable.
-  const Problem trivial = Problem::parse("A^3", "A A");
-  EngineContext ctx;
-  PassManager pm;
-  pm.add(makeZeroRoundCheckPass(ZeroRoundMode::kAdversarialPorts));
-  pm.add(makeApplyRPass());
-  const PipelineResult result = pm.run(trivial, ctx);
-  EXPECT_TRUE(result.stopped);
-  EXPECT_EQ(result.stoppedAt, 0u);
-  // The stop short-circuits: only the zero-round pass has a stats row.
-  ASSERT_EQ(result.passes.size(), 1u);
-  expectProblemsBitIdentical(trivial, result.problem, "stopped pipeline");
-}
-
-TEST(PassPipeline, RenameAndRelaxPreserveEquivalence) {
-  const Problem mis = misProblem(3);
-  EngineContext ctx;
-  PassManager pm;
-  pm.add(makeApplyRPass());
-  pm.add(makeApplyRbarPass());
-  pm.add(makeRelaxPass());
-  pm.add(makeRenamePass());
-  const PipelineResult result = pm.run(mis, ctx);
-  const Problem plain = speedupStep(mis);
-  // Relax + Rename keep the language: same zero-round verdicts and the
-  // renamed problem is isomorphic to the plain speedup when small enough.
-  EXPECT_EQ(zeroRoundSolvableAdversarialPorts(plain),
-            zeroRoundSolvableAdversarialPorts(result.problem));
-  if (plain.alphabet.size() <= 10 &&
-      plain.alphabet.size() == result.problem.alphabet.size()) {
-    EXPECT_TRUE(equivalentUpToRenaming(plain, result.problem));
   }
 }
 

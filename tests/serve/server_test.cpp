@@ -212,6 +212,51 @@ TEST(Server, EightConcurrentClientsGetBitIdenticalAnswers) {
   server.stop();
 }
 
+TEST(Server, SingleLaneServesConcurrentClients) {
+  // One scheduler lane, many connections: requests queue up behind each
+  // other and every run fans its engine work out over the global pool from
+  // the same lane, batch after batch.
+  const driver::RunResult reference = cliReference(2);
+
+  ServeConfig config;
+  config.unixSocketPath = socketPath("single-lane");
+  config.workers = 1;
+  Server server(config);
+  server.start();
+
+  constexpr int kClients = 8;
+  constexpr int kRequestsPerClient = 4;
+  std::vector<std::string> errors(kClients);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      std::string& error = errors[static_cast<std::size_t>(c)];
+      try {
+        Client client = Client::connectUnix(config.unixSocketPath);
+        for (int r = 0; r < kRequestsPerClient; ++r) {
+          const Response response = client.roundTrip(
+              problemRequest(c * kRequestsPerClient + r + 1));
+          if (!response.ok()) {
+            error = response.diagnostics;
+            return;
+          }
+          if (response.output != reference.output) {
+            error = "output differs from the CLI's";
+            return;
+          }
+        }
+      } catch (const re::Error& e) {
+        error = e.what();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(errors[static_cast<std::size_t>(c)], "") << "client " << c;
+  }
+  server.stop();
+}
+
 TEST(Server, WarmDuplicateChainHasZeroMissesAndIdenticalCertificate) {
   const fs::path storeDir = freshDir("serve_warm_chain_store");
   ServeConfig config;

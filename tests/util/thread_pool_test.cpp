@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -17,6 +18,25 @@ TEST(ResolveThreadCount, ZeroMeansHardwareConcurrency) {
   EXPECT_EQ(resolveThreadCount(1), 1);
   EXPECT_EQ(resolveThreadCount(7), 7);
   EXPECT_EQ(resolveThreadCount(-3), 1);
+}
+
+TEST(ThreadPool, BackToBackTinyBatchesStress) {
+  // Tiny batches issued back to back: the calling lane often drains a batch
+  // before a worker wakes, so workers regularly wake to a batch that is
+  // already over -- or to the next one.  Each batch's job and slots live on
+  // this frame only for that batch; a worker running a stale job would write
+  // into a dead vector or call through a dead std::function.
+  for (const int width : {2, 4, 8}) {
+    ThreadPool pool(width);
+    for (int batch = 0; batch < 5000; ++batch) {
+      std::vector<int> visits(2 + batch % 3, 0);
+      const std::function<void(std::size_t)> job = [&](std::size_t i) {
+        ++visits[i];
+      };
+      pool.forEachIndex(visits.size(), job);
+      for (const int v : visits) ASSERT_EQ(v, 1) << width << " " << batch;
+    }
+  }
 }
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
