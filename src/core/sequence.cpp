@@ -1,6 +1,7 @@
 #include "core/sequence.hpp"
 
 #include <exception>
+#include <optional>
 
 #include "obs/trace.hpp"
 #include "re/engine.hpp"
@@ -123,7 +124,7 @@ std::string certifyChain(const Chain& chain, int numThreads) {
       });
 }
 
-std::string certifyChain(const Chain& chain, re::EngineContext& context,
+std::string certifyChain(const Chain& chain, re::EngineSession& context,
                          int numThreads) {
   return certifyChainImpl(
       chain, numThreads, context.tracer(), [&](std::size_t i) {
@@ -134,11 +135,11 @@ std::string certifyChain(const Chain& chain, re::EngineContext& context,
 }
 
 io::Certificate buildChainCertificate(const Chain& chain,
-                                      re::EngineContext* context,
+                                      re::EngineSession* context,
                                       int numThreads) {
-  const std::string violation =
-      context != nullptr ? certifyChain(chain, *context, numThreads)
-                         : certifyChain(chain, numThreads);
+  std::optional<re::EngineSession> privateSession;
+  if (context == nullptr) context = &privateSession.emplace();
+  const std::string violation = certifyChain(chain, *context, numThreads);
   if (!violation.empty()) {
     throw re::Error("buildChainCertificate: chain does not certify: " +
                     violation);
@@ -156,13 +157,9 @@ io::Certificate buildChainCertificate(const Chain& chain,
     out.x = step.x;
     out.problem = familyProblem(chain.delta, step.a, step.x);
     // certifyChain established non-solvability for every step; the verdicts
-    // below are therefore all false (and served from the context's cache
-    // when one is given).
-    out.zeroRoundSolvable =
-        context != nullptr
-            ? context->zeroRoundSolvable(out.problem,
-                                         re::ZeroRoundMode::kSymmetricPorts)
-            : re::zeroRoundSolvableSymmetricPorts(out.problem);
+    // below are therefore all false (and served from the session's cache).
+    out.zeroRoundSolvable = context->zeroRoundSolvable(
+        out.problem, re::ZeroRoundMode::kSymmetricPorts);
     cert.steps.push_back(std::move(out));
   }
   return cert;

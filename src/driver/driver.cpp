@@ -346,8 +346,7 @@ RunResult run(const RunRequest& request, std::shared_ptr<re::EngineCore> core) {
 
   re::PassOptions passOptions;
   passOptions.numThreads = numThreads;
-  if (core == nullptr) core = std::make_shared<re::EngineCore>();
-  re::EngineSession ctx(core, passOptions, request.scope);
+  re::EngineSession ctx(std::move(core), passOptions, request.scope);
   if (stepStore != nullptr) ctx.attachStore(stepStore);
   sessionStatsFrom = &ctx;
 
@@ -543,7 +542,6 @@ RunResult run(const RunRequest& request, std::shared_ptr<re::EngineCore> core) {
       re::IterateOptions options;
       options.maxSteps = maxSteps;
       options.maxLabels = 16;
-      options.stepOptions.numThreads = numThreads;
       options.context = &ctx;
       const auto trace = re::iterateSpeedup(p, options);
       out << trace.describe() << "\n\n";
@@ -577,7 +575,6 @@ RunResult run(const RunRequest& request, std::shared_ptr<re::EngineCore> core) {
       re::AutoLowerBoundOptions lbOptions;
       lbOptions.maxSteps = maxSteps;
       lbOptions.maxLabels = 10;
-      lbOptions.stepOptions.numThreads = numThreads;
       lbOptions.context = &ctx;
       const auto lb = re::autoLowerBound(p, lbOptions);
       out << "\nautomatic lower bound: >= " << lb.rounds

@@ -1,5 +1,7 @@
 #include "re/autobound.hpp"
 
+#include <optional>
+
 #include "re/engine.hpp"
 #include "re/rename.hpp"
 #include "re/simplify.hpp"
@@ -13,38 +15,38 @@ IterationStep describeProblem(const Problem& p) {
   return {p.alphabet.size(), p.node.size(), p.edge.size()};
 }
 
-// Fixed-point test for two consecutive iterates.  With a context, the
-// syntactic canonical forms are compared first: equal canonical forms prove
-// isomorphism without any permutation search (and the intern table makes
-// the lookup O(1) amortized across the whole iteration).  Unequal canonical
-// forms do NOT disprove *semantic* equivalence (differently condensed but
-// language-equal constraints), so the semantic search still runs as a
-// fallback -- behavior matches the context-free path exactly.
+// The session an orchestration call runs through: the caller's `context`, or
+// else a private one built from `stepOptions` and held in `own` (so callers
+// that pass a context pay nothing).
+EngineSession& sessionFor(EngineSession* context,
+                          const StepOptions& stepOptions,
+                          std::optional<EngineSession>& own) {
+  return context == nullptr ? own.emplace(nullptr, stepOptions) : *context;
+}
+
+// Fixed-point test for two consecutive iterates.  The syntactic canonical
+// forms are compared first: equal canonical forms prove isomorphism without
+// any permutation search (and the intern table makes the lookup O(1)
+// amortized across the whole iteration).  Unequal canonical forms do NOT
+// disprove *semantic* equivalence (differently condensed but language-equal
+// constraints), so the semantic search still runs as a fallback.
 bool sameUpToRenaming(const Problem& prev, const Problem& next,
-                      EngineContext* ctx) {
-  if (ctx != nullptr) {
-    try {
-      const auto prevInterned = ctx->intern(prev);
-      const auto nextInterned = ctx->intern(next);
-      if (prevInterned.hash == nextInterned.hash &&
-          prevInterned.canonical.problem == nextInterned.canonical.problem) {
-        return true;
-      }
-    } catch (const Error&) {
-      // canonicalize refused (too symmetric / too large); fall through.
+                      EngineSession& session) {
+  try {
+    const auto prevInterned = session.intern(prev);
+    const auto nextInterned = session.intern(next);
+    if (prevInterned.hash == nextInterned.hash &&
+        prevInterned.canonical.problem == nextInterned.canonical.problem) {
+      return true;
     }
+  } catch (const Error&) {
+    // canonicalize refused (too symmetric / too large); fall through.
   }
   try {
     return equivalentUpToRenaming(prev, next);
   } catch (const Error&) {
     return false;  // isomorphism search refused; keep iterating
   }
-}
-
-bool zeroRoundWithEdgeInputs(const Problem& p, EngineContext* ctx) {
-  return ctx != nullptr
-             ? ctx->zeroRoundSolvable(p, ZeroRoundMode::kWithEdgeInputs)
-             : zeroRoundSolvableWithEdgeInputs(p);
 }
 
 }  // namespace
@@ -81,6 +83,9 @@ std::string IterationTrace::describe() const {
 
 IterationTrace iterateSpeedup(const Problem& start,
                               const IterateOptions& options) {
+  std::optional<EngineSession> own;
+  EngineSession& session =
+      sessionFor(options.context, options.stepOptions, own);
   IterationTrace trace;
   trace.last = start;
   trace.steps.push_back(describeProblem(start));
@@ -94,19 +99,14 @@ IterationTrace iterateSpeedup(const Problem& start,
   for (int step = 1; step <= options.maxSteps; ++step) {
     Problem next;
     try {
-      next = options.context != nullptr
-                 ? options.context->speedupStep(trace.last)
-                 : speedupStep(trace.last, options.stepOptions);
+      next = session.speedupStep(trace.last);
     } catch (const Error&) {
       trace.reason = StopReason::kEngineLimit;
       return trace;
     }
     trace.steps.push_back(describeProblem(next));
 
-    if (options.context != nullptr
-            ? options.context->zeroRoundSolvable(
-                  next, ZeroRoundMode::kAdversarialPorts)
-            : zeroRoundSolvableAdversarialPorts(next)) {
+    if (session.zeroRoundSolvable(next, ZeroRoundMode::kAdversarialPorts)) {
       trace.last = std::move(next);
       trace.reason = StopReason::kZeroRoundSolvable;
       trace.zeroRoundAfter = step;
@@ -114,8 +114,7 @@ IterationTrace iterateSpeedup(const Problem& start,
     }
     if (options.detectFixedPoint && next.alphabet.size() <= 10 &&
         trace.last.alphabet.size() == next.alphabet.size()) {
-      const bool same = sameUpToRenaming(trace.last, next, options.context);
-      if (same) {
+      if (sameUpToRenaming(trace.last, next, session)) {
         trace.last = std::move(next);
         trace.reason = StopReason::kFixedPoint;
         trace.fixedPointAt = step - 1;
@@ -134,6 +133,9 @@ IterationTrace iterateSpeedup(const Problem& start,
 
 AutoLowerBound autoLowerBound(const Problem& start,
                               const AutoLowerBoundOptions& options) {
+  std::optional<EngineSession> own;
+  EngineSession& session =
+      sessionFor(options.context, options.stepOptions, own);
   AutoLowerBound result;
   Problem current = start;
   result.labelsPerStep.push_back(current.alphabet.size());
@@ -144,7 +146,8 @@ AutoLowerBound autoLowerBound(const Problem& start,
     // chain with whatever was certified so far instead of throwing.
     bool solvable = false;
     try {
-      solvable = zeroRoundWithEdgeInputs(current, options.context);
+      solvable =
+          session.zeroRoundSolvable(current, ZeroRoundMode::kWithEdgeInputs);
     } catch (const Error&) {
       result.reason = StopReason::kEngineLimit;
       return result;
@@ -157,9 +160,7 @@ AutoLowerBound autoLowerBound(const Problem& start,
     result.rounds = step + 1;
     Problem next;
     try {
-      next = options.context != nullptr
-                 ? options.context->speedupStep(current)
-                 : speedupStep(current, options.stepOptions);
+      next = session.speedupStep(current);
     } catch (const Error&) {
       result.reason = StopReason::kEngineLimit;
       return result;
@@ -177,7 +178,8 @@ AutoLowerBound autoLowerBound(const Problem& start,
           // that the merged problem stays hard.
           bool hard = false;
           try {
-            hard = !zeroRoundWithEdgeInputs(candidate, options.context);
+            hard = !session.zeroRoundSolvable(candidate,
+                                              ZeroRoundMode::kWithEdgeInputs);
           } catch (const Error&) {
             hard = false;
           }

@@ -56,17 +56,18 @@ struct IterationTrace {
 struct IterateOptions {
   int maxSteps = 8;
   int maxLabels = 12;          // refuse to continue past this alphabet size
-  StepOptions stepOptions;     // forwarded to applyR / applyRbar (including
-                               // the numThreads fan-out width)
+  StepOptions stepOptions;     // options of the private session (see
+                               // context), including the fan-out width
   /// Check for fixed points (needs isomorphism search; alphabets <= 10).
   bool detectFixedPoint = true;
-  /// Optional engine context (see engine.hpp).  When set, speedup steps are
-  /// memoized through the context (stepOptions is ignored in favor of the
-  /// context's options) and fixed-point detection first tries the cheap
-  /// canonical-interning route -- "canonical form already interned" -- before
-  /// falling back to the semantic isomorphism search.  Results are identical
-  /// with and without a context.
-  EngineContext* context = nullptr;
+  /// Optional engine session (see engine.hpp) the iteration runs through;
+  /// nullptr runs it through a private session built from stepOptions (a
+  /// set context's own options win over stepOptions).  Speedup steps and
+  /// zero-round checks are memoized in the session, and fixed-point
+  /// detection first tries the cheap canonical-interning route -- "canonical
+  /// form already interned" -- before falling back to the semantic
+  /// isomorphism search.
+  EngineSession* context = nullptr;
 };
 
 /// Runs the speedup iteration and reports what happened.
@@ -102,10 +103,11 @@ struct AutoLowerBoundOptions {
   /// exists.
   int maxLabels = 8;
   StepOptions stepOptions;
-  /// Optional engine context: memoizes speedup steps and the (heavily
-  /// repeated) zero-round solvability checks of the merge search.  Results
-  /// are identical with and without a context.
-  EngineContext* context = nullptr;
+  /// Optional engine session: memoizes speedup steps and the (heavily
+  /// repeated) zero-round solvability checks of the merge search.  nullptr
+  /// runs through a private session built from stepOptions (a set context's
+  /// own options win over stepOptions).
+  EngineSession* context = nullptr;
 };
 
 /// Fully automatic lower-bound search.

@@ -12,7 +12,6 @@
 #include "obs/trace.hpp"
 #include "re/memo.hpp"
 #include "re/zero_round.hpp"
-#include "util/arena.hpp"
 
 namespace relb::re {
 
@@ -144,20 +143,6 @@ struct EngineSession::ObsHooks {
         storeWrite(r.counter("store.write")) {}
 };
 
-/// The session-owned arena backing the serial Rbar sweep when the caller
-/// left StepOptions::arena unset (shared-core sessions only).  Parallel
-/// lanes and scratch buffers always use re_step.cpp's thread-local arenas.
-struct EngineSession::SessionArenas {
-  util::Arena results;
-};
-
-EngineSession::EngineSession(PassOptions options)
-    : core_(std::make_shared<EngineCore>()),
-      options_(options),
-      registry_(&obs::Registry::global()),
-      tracer_(&obs::Tracer::global()),
-      obs_(std::make_unique<ObsHooks>(*registry_)) {}
-
 EngineSession::EngineSession(std::shared_ptr<EngineCore> core,
                              PassOptions options, obs::SessionScope* scope)
     : core_(core != nullptr ? std::move(core)
@@ -166,10 +151,7 @@ EngineSession::EngineSession(std::shared_ptr<EngineCore> core,
       registry_(scope != nullptr ? &scope->registry()
                                  : &obs::Registry::global()),
       tracer_(scope != nullptr ? &scope->tracer() : &obs::Tracer::global()),
-      obs_(std::make_unique<ObsHooks>(*registry_)),
-      arenas_(std::make_unique<SessionArenas>()) {
-  if (options_.arena == nullptr) options_.arena = &arenas_->results;
-}
+      obs_(std::make_unique<ObsHooks>(*registry_)) {}
 
 EngineSession::~EngineSession() = default;
 

@@ -16,26 +16,23 @@
 // Any number of sessions, on any threads, may share one core; results are
 // bit-identical to cold computes regardless of who warmed the cache.
 //
-// EngineSession is the cheap PER-REQUEST half: its own StepOptions, its own
-// result arena backing the serial Rbar sweep, and an observability scope
-// (a session-local metric registry and tracer handle, see obs/scope.hpp) so
-// concurrent requests produce attributable counter and span streams.
-// Creating a session performs a fixed, small amount of work (interning a
-// handful of counter names, two empty arenas) -- it is meant to be done once
-// per request, and session reuse re-uses the arenas.
+// EngineSession is the cheap PER-REQUEST half: its own StepOptions and an
+// observability scope (a session-local metric registry and tracer handle, see
+// obs/scope.hpp) so concurrent requests produce attributable counter and span
+// streams.  Creating a session performs a fixed, small amount of work
+// (interning a handful of counter names) -- it is meant to be done once per
+// request.  The serial Rbar sweep and every parallel lane use re_step.cpp's
+// thread-local arenas, so a session owns no buffers of its own.
 //
 // Lifetime and sharing rules (docs/architecture.md has the diagram):
 //   * core outlives every session over it (sessions hold a shared_ptr, so
-//     this is automatic);
+//     this is automatic; a session built without a core owns a private one);
 //   * an attached obs::SessionScope must outlive the session;
-//   * one session serves ONE logical client.  The engine's own fan-out may
-//     run a session's work on many pool threads, and certifyChain-style
-//     helpers may probe a session from worker lanes, but two independent
-//     clients must each take their own session (sharing the core).
-//   * the legacy EngineContext alias constructs a standalone session owning
-//     a private core; for backward compatibility it keeps the serial-sweep
-//     arena thread-local, so it remains safe to hammer one EngineContext
-//     from many threads as the pre-split tests do.
+//   * every session is safe to use from many threads at once: the engine's
+//     own fan-out, certifyChain-style helpers probing it from worker lanes,
+//     or independent callers.  Its stats then attribute the union of their
+//     traffic, so independent clients that want their own counters each
+//     take their own session (sharing the core).
 //
 // speedupStepWithStats runs the step as its two operators, R then Rbar, and
 // records a statistics row for each (wall time, configurations in/out,
@@ -143,7 +140,7 @@ enum class ZeroRoundMode {
 ///     collision must degrade to a miss, never to a wrong answer).
 ///   * loadStep must only report a hit when the result is valid for
 ///     `options` (for Rbar: equal maxRbarDelta and enumerationLimit;
-///     numThreads and arena never affect results and must be ignored).
+///     numThreads never affects results and must be ignored).
 ///   * All methods may be called concurrently from engine worker threads.
 ///   * A load returning std::nullopt means "recompute"; corrupt entries
 ///     must not throw out of loads.
@@ -165,8 +162,8 @@ class StepStorage {
                               std::uint64_t hash, bool solvable) = 0;
 };
 
-/// The shared, thread-safe cache core.  Holds no per-request state: options,
-/// arenas, and observability attribution all live in EngineSession.
+/// The shared, thread-safe cache core.  Holds no per-request state: options
+/// and observability attribution live in EngineSession.
 class EngineCore {
  public:
   EngineCore();
@@ -200,18 +197,10 @@ class EngineCore {
 /// stats and in this session's own attributed stats/counters.
 class EngineSession {
  public:
-  /// Standalone session owning a private EngineCore -- the legacy
-  /// EngineContext behavior.  Counters go to obs::Registry::global(), spans
-  /// to obs::Tracer::global(), and the serial-sweep arena stays thread-local
-  /// (safe to share this object across threads).
-  explicit EngineSession(PassOptions options = {});
-
-  /// Session over a shared core, optionally carrying an observability scope
-  /// (nullptr: global registry/tracer).  Unless `options.arena` is already
-  /// set, the serial Rbar sweep is backed by this session's own result arena
-  /// -- allocation-stable across requests, but it makes the step entry
-  /// points single-client (see the sharing rules above).
-  explicit EngineSession(std::shared_ptr<EngineCore> core,
+  /// Session over `core` (nullptr: a private core), optionally carrying an
+  /// observability scope (nullptr: obs::Registry::global() and
+  /// obs::Tracer::global()).
+  explicit EngineSession(std::shared_ptr<EngineCore> core = nullptr,
                          PassOptions options = {},
                          obs::SessionScope* scope = nullptr);
   ~EngineSession();
@@ -232,8 +221,7 @@ class EngineSession {
   /// The tracer this session's spans are emitted through.
   [[nodiscard]] obs::Tracer& tracer() const { return *tracer_; }
 
-  /// Delegates to the shared core (kept on the session for source
-  /// compatibility with the pre-split EngineContext).
+  /// Delegates to the shared core.
   void attachStore(std::shared_ptr<StepStorage> store);
 
   // -- Memoized speedup operators (bit-identical to the free functions) ----
@@ -296,9 +284,8 @@ class EngineSession {
   void resetStats();
 
  private:
-  struct MemoCounters;   // one cache kind's counters (engine.cpp)
-  struct ObsHooks;       // every kind's counters, interned (engine.cpp)
-  struct SessionArenas;  // serial-sweep result arena (engine.cpp)
+  struct MemoCounters;  // one cache kind's counters (engine.cpp)
+  struct ObsHooks;      // every kind's counters, interned (engine.cpp)
 
   /// The one memoization sequence behind every cache (engine.cpp): locked
   /// lookup, optional durable-store load, compute outside the lock, insert,
@@ -321,7 +308,6 @@ class EngineSession {
   obs::Registry* registry_;
   obs::Tracer* tracer_;
   std::unique_ptr<ObsHooks> obs_;
-  std::unique_ptr<SessionArenas> arenas_;
   /// Session-attributed stats; guarded by the core's mutex (every update
   /// site already holds it).
   CacheStats stats_;

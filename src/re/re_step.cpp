@@ -123,11 +123,12 @@ std::vector<LabelSet> sortedDistinctSets(std::vector<LabelSet> sets) {
 }  // namespace
 
 StepResult detail::applyRImpl(const Problem& p, const StepOptions& options,
-                              EngineContext* ctx) {
+                              EngineSession* session) {
   p.validate();
   const int n = p.alphabet.size();
-  const auto compat = ctx != nullptr ? ctx->edgeCompatibility(p.edge, n)
-                                     : edgeCompatibility(p.edge, n);
+  const auto compat = session != nullptr
+                          ? session->edgeCompatibility(p.edge, n)
+                          : edgeCompatibility(p.edge, n);
   const auto pairs =
       detail::maximalEdgePairsFromCompat(compat, n, options.numThreads);
   if (pairs.empty()) {
@@ -291,7 +292,7 @@ Configuration slotsToConfiguration(const std::uint32_t* slots, Count delta) {
 }  // namespace
 
 StepResult detail::applyRbarImpl(const Problem& p, const StepOptions& options,
-                                 EngineContext* ctx) {
+                                 EngineSession* session) {
   p.validate();
   const int n = p.alphabet.size();
   const Count delta = p.delta();
@@ -303,9 +304,9 @@ StepResult detail::applyRbarImpl(const Problem& p, const StepOptions& options,
   // slot sets (Observation 4 plus the up-closure argument documented in
   // re_step.hpp).
   const auto rcSets =
-      ctx != nullptr
-          ? ctx->rightClosedSets(p.node, n, p.alphabet.all(),
-                                 options.enumerationLimit)
+      session != nullptr
+          ? session->rightClosedSets(p.node, n, p.alphabet.all(),
+                                     options.enumerationLimit)
           : computeStrength(p.node, n, options.enumerationLimit)
                 .allRightClosedSets(p.alphabet.all());
 
@@ -336,13 +337,11 @@ StepResult detail::applyRbarImpl(const Problem& p, const StepOptions& options,
     const obs::ScopedSpan span("re.rbar.enumerate");
     if (width <= 1) {
       StepArenas& arenas = stepArenas();
-      util::Arena& results =
-          options.arena != nullptr ? *options.arena : arenas.results;
       arenas.scratch.reset();
-      results.reset();
+      arenas.results.reset();
       RbarEnumerator enumerator(rcSets, nodeWords.data(),
                                 nodeWordsExpanded.data(), nodeWords.size(),
-                                delta, arenas.scratch, results);
+                                delta, arenas.scratch, arenas.results);
       const PackedWord root = 0;
       enumerator.rec(0, &root, 1);
       validFlat.assign(enumerator.valid.begin(), enumerator.valid.end());

@@ -38,17 +38,10 @@
 #include "re/problem.hpp"
 #include "util/thread_pool.hpp"
 
-namespace relb::util {
-class Arena;
-}
-
 namespace relb::re {
 
-// The cached engine entry points live on EngineSession (re/engine.hpp); the
-// pre-split name EngineContext survives as an alias for source
-// compatibility.
+// The cached engine entry points live on EngineSession (re/engine.hpp).
 class EngineSession;
-using EngineContext = EngineSession;
 
 struct StepResult {
   Problem problem;
@@ -65,13 +58,6 @@ struct StepOptions {
   /// 0 = one thread per hardware core, 1 = fully serial, k >= 2 = exactly k
   /// lanes.  Results are bit-identical for every value.
   int numThreads = util::kDefaultNumThreads;
-  /// Optional caller-owned arena backing the serial Rbar sweep's result
-  /// buffers (completability memo + candidate accumulator).  The step resets
-  /// it on entry, so nothing may live in it across calls.  nullptr (the
-  /// default) uses an engine-owned thread-local arena; parallel lanes always
-  /// use their own thread-local arenas.  Never affects results, and is
-  /// ignored by result caches/stores (like numThreads).
-  util::Arena* arena = nullptr;
 };
 
 /// Computes Pi' = R(Pi).  Exact for arbitrary Delta.
@@ -93,17 +79,17 @@ struct StepOptions {
 
 namespace detail {
 
-/// Context-aware implementations behind both the free functions (ctx ==
-/// nullptr: compute everything locally) and EngineContext (ctx != nullptr:
-/// sub-results -- edge compatibility, strength diagrams, right-closed
-/// families -- are fetched through the context's caches).  The produced
-/// StepResult is bit-identical either way.
+/// Session-aware implementations behind both the free functions (session ==
+/// nullptr: compute everything locally) and EngineSession (sub-results --
+/// edge compatibility, strength diagrams, right-closed families -- are
+/// fetched through the session's caches).  The produced StepResult is
+/// bit-identical either way.
 [[nodiscard]] StepResult applyRImpl(const Problem& p,
                                     const StepOptions& options,
-                                    EngineContext* ctx);
+                                    EngineSession* session);
 [[nodiscard]] StepResult applyRbarImpl(const Problem& p,
                                        const StepOptions& options,
-                                       EngineContext* ctx);
+                                       EngineSession* session);
 
 }  // namespace detail
 

@@ -21,6 +21,8 @@ namespace {
 
 constexpr std::string_view kFormatStamp = "relb-store 1";
 
+const char* stepTag(int kind) { return kind == 0 ? "r" : "rbar"; }
+
 const char* zeroRoundTag(ZeroRoundMode mode) {
   switch (mode) {
     case ZeroRoundMode::kSymmetricPorts: return "zr0";
@@ -141,58 +143,77 @@ std::size_t DiskStepStore::objectCount() const {
   return n;
 }
 
+template <typename Value, typename Decode>
+std::optional<Value> DiskStepStore::loadEntry(const char* tag,
+                                              const Problem& input,
+                                              std::uint64_t hash,
+                                              const Decode& decode) {
+  const obs::ScopedSpan span("store.load");
+  const std::filesystem::path path = entryPath(hash, tag);
+  if (const auto text = readFile(path)) {
+    try {
+      const Json payload = unwrapEntry(*text);
+      // A different input is a structural-hash collision: another problem
+      // owns this slot.  Like an entry decode() cannot reuse, it is a miss.
+      if (io::problemFromJson(payload.at("input")) == input) {
+        if (std::optional<Value> value = decode(payload)) {
+          count(&StoreStats::hits);
+          return value;
+        }
+      }
+    } catch (const Error&) {
+      quarantine(path);
+    }
+  }
+  count(&StoreStats::misses);
+  return std::nullopt;
+}
+
+void DiskStepStore::writeEntry(const char* tag, std::uint64_t hash,
+                               Json payload) {
+  const obs::ScopedSpan span("store.write");
+  const std::filesystem::path path = entryPath(hash, tag);
+  std::filesystem::create_directories(path.parent_path());
+  io::atomicWriteFile(path, wrapEntry(std::move(payload)));
+  count(&StoreStats::writes);
+}
+
 std::optional<StepResult> DiskStepStore::loadStep(int kind,
                                                   const Problem& input,
                                                   std::uint64_t hash,
                                                   const StepOptions& options) {
-  const obs::ScopedSpan span("store.load");
-  const std::filesystem::path path =
-      entryPath(hash, kind == 0 ? "r" : "rbar");
-  const auto text = readFile(path);
-  if (!text) {
-    count(&StoreStats::misses);
-    return std::nullopt;
-  }
-  try {
-    const Json payload = unwrapEntry(*text);
-    if (payload.at("op").asInt() != kind) {
-      throw Error("step_store: entry operator mismatch");
-    }
-    if (io::problemFromJson(payload.at("input")) != input) {
-      // Structural-hash collision: a different problem owns this slot.
-      count(&StoreStats::misses);
-      return std::nullopt;
-    }
-    if (kind == 1 &&
-        (payload.at("max_rbar_delta").asInt() != options.maxRbarDelta ||
-         payload.at("enumeration_limit").asInt() !=
-             static_cast<std::int64_t>(options.enumerationLimit))) {
-      // Computed under other guards; not corrupt, just not reusable.
-      count(&StoreStats::misses);
-      return std::nullopt;
-    }
-    const Json& result = payload.at("result");
-    StepResult out;
-    out.problem = io::problemFromJson(result.at("problem"));
-    for (const Json& s : result.at("meaning").asArray()) {
-      out.meaning.push_back(io::labelSetFromJson(s, input.alphabet.size()));
-    }
-    if (static_cast<int>(out.meaning.size()) != out.problem.alphabet.size()) {
-      throw Error("step_store: meaning size does not match result alphabet");
-    }
-    count(&StoreStats::hits);
-    return out;
-  } catch (const Error&) {
-    quarantine(path);
-    count(&StoreStats::misses);
-    return std::nullopt;
-  }
+  return loadEntry<StepResult>(
+      stepTag(kind), input, hash,
+      [&](const Json& payload) -> std::optional<StepResult> {
+        if (payload.at("op").asInt() != kind) {
+          throw Error("step_store: entry operator mismatch");
+        }
+        if (kind == 1 &&
+            (payload.at("max_rbar_delta").asInt() != options.maxRbarDelta ||
+             payload.at("enumeration_limit").asInt() !=
+                 static_cast<std::int64_t>(options.enumerationLimit))) {
+          // Computed under other guards; not corrupt, just not reusable.
+          return std::nullopt;
+        }
+        const Json& result = payload.at("result");
+        StepResult out;
+        out.problem = io::problemFromJson(result.at("problem"));
+        for (const Json& s : result.at("meaning").asArray()) {
+          out.meaning.push_back(
+              io::labelSetFromJson(s, input.alphabet.size()));
+        }
+        if (static_cast<int>(out.meaning.size()) !=
+            out.problem.alphabet.size()) {
+          throw Error(
+              "step_store: meaning size does not match result alphabet");
+        }
+        return out;
+      });
 }
 
 void DiskStepStore::storeStep(int kind, const Problem& input,
                               std::uint64_t hash, const StepOptions& options,
                               const StepResult& result) {
-  const obs::ScopedSpan span("store.write");
   Json payload = Json::object();
   payload.set("op", kind);
   payload.set("input", io::problemToJson(input));
@@ -209,52 +230,25 @@ void DiskStepStore::storeStep(int kind, const Problem& input,
   }
   res.set("meaning", std::move(meaning));
   payload.set("result", std::move(res));
-
-  const std::filesystem::path path =
-      entryPath(hash, kind == 0 ? "r" : "rbar");
-  std::filesystem::create_directories(path.parent_path());
-  io::atomicWriteFile(path, wrapEntry(std::move(payload)));
-  count(&StoreStats::writes);
+  writeEntry(stepTag(kind), hash, std::move(payload));
 }
 
 std::optional<bool> DiskStepStore::loadZeroRound(ZeroRoundMode mode,
                                                  const Problem& input,
                                                  std::uint64_t hash) {
-  const obs::ScopedSpan span("store.load");
-  const std::filesystem::path path = entryPath(hash, zeroRoundTag(mode));
-  const auto text = readFile(path);
-  if (!text) {
-    count(&StoreStats::misses);
-    return std::nullopt;
-  }
-  try {
-    const Json payload = unwrapEntry(*text);
-    if (io::problemFromJson(payload.at("input")) != input) {
-      count(&StoreStats::misses);
-      return std::nullopt;
-    }
-    const bool solvable = payload.at("solvable").asBool();
-    count(&StoreStats::hits);
-    return solvable;
-  } catch (const Error&) {
-    quarantine(path);
-    count(&StoreStats::misses);
-    return std::nullopt;
-  }
+  return loadEntry<bool>(zeroRoundTag(mode), input, hash,
+                         [](const Json& payload) -> std::optional<bool> {
+                           return payload.at("solvable").asBool();
+                         });
 }
 
 void DiskStepStore::storeZeroRound(ZeroRoundMode mode, const Problem& input,
                                    std::uint64_t hash, bool solvable) {
-  const obs::ScopedSpan span("store.write");
   Json payload = Json::object();
   payload.set("mode", static_cast<std::int64_t>(mode));
   payload.set("input", io::problemToJson(input));
   payload.set("solvable", solvable);
-
-  const std::filesystem::path path = entryPath(hash, zeroRoundTag(mode));
-  std::filesystem::create_directories(path.parent_path());
-  io::atomicWriteFile(path, wrapEntry(std::move(payload)));
-  count(&StoreStats::writes);
+  writeEntry(zeroRoundTag(mode), hash, std::move(payload));
 }
 
 }  // namespace relb::store

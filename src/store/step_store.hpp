@@ -32,6 +32,7 @@
 #include <optional>
 #include <string>
 
+#include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "re/engine.hpp"
 
@@ -77,6 +78,17 @@ class DiskStepStore final : public re::StepStorage {
   [[nodiscard]] std::size_t objectCount() const;
 
  private:
+  /// The one load sequence behind every kind (step_store.cpp): span, path,
+  /// read, unwrap, input compare, hit/miss counts, and quarantine of a
+  /// corrupt entry.  `decode(payload)` turns an entry for `input` into its
+  /// value, returns std::nullopt for a valid entry it cannot reuse (a plain
+  /// miss), and throws re::Error on corruption.
+  template <typename Value, typename Decode>
+  std::optional<Value> loadEntry(const char* tag, const re::Problem& input,
+                                 std::uint64_t hash, const Decode& decode);
+  /// The one write sequence: span, path, directories, atomic write, count.
+  void writeEntry(const char* tag, std::uint64_t hash, io::Json payload);
+
   [[nodiscard]] std::filesystem::path entryPath(std::uint64_t hash,
                                                 const char* tag) const;
   void quarantine(const std::filesystem::path& path);

@@ -184,11 +184,11 @@ TEST(EngineSession, ConcurrentChainCertificatesMatchSerialBytes) {
 }
 
 TEST(EngineSession, LegacyAliasStillStandsAlone) {
-  // EngineContext must keep meaning "private core, global observability":
-  // two standalone contexts share nothing.
+  // A session built without a core keeps meaning "private core, global
+  // observability": two standalone sessions share nothing.
   const Problem p = core::familyProblem(4, 2, 1);
-  EngineContext a;
-  EngineContext b;
+  EngineSession a;
+  EngineSession b;
   (void)a.speedupStep(p);
   (void)b.speedupStep(p);
   EXPECT_EQ(a.stats().stepMisses, 2u);

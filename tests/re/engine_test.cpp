@@ -4,6 +4,8 @@
 // iteration, and canonical interning detects renamed duplicates.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/family.hpp"
@@ -45,7 +47,7 @@ std::vector<std::pair<std::string, Problem>> speedupTestbed() {
 TEST(EngineContext, CacheHitIsBitIdenticalToColdRun) {
   for (const auto& [name, p] : speedupTestbed()) {
     const Problem cold = speedupStep(p);  // uncached free function
-    EngineContext ctx;
+    EngineSession ctx;
     const Problem first = ctx.speedupStep(p);
     const CacheStats afterFirst = ctx.stats();
     EXPECT_EQ(afterFirst.stepHits, 0u) << name;
@@ -61,7 +63,7 @@ TEST(EngineContext, CacheHitIsBitIdenticalToColdRun) {
 
 TEST(EngineContext, ApplyRApplyRbarMatchFreeFunctions) {
   for (const auto& [name, p] : speedupTestbed()) {
-    EngineContext ctx;
+    EngineSession ctx;
     const StepResult coldR = applyR(p);
     const StepResult ctxR = ctx.applyR(p);
     expectProblemsBitIdentical(coldR.problem, ctxR.problem, name + " R");
@@ -76,7 +78,7 @@ TEST(EngineContext, ApplyRApplyRbarMatchFreeFunctions) {
 
 TEST(PassPipeline, MatchesSpeedupStepAndStatsAreConsistent) {
   for (const auto& [name, p] : speedupTestbed()) {
-    EngineContext ctx;
+    EngineSession ctx;
     const PipelineResult result = ctx.speedupStepWithStats(p);
     expectProblemsBitIdentical(speedupStep(p), result.problem, name);
     ASSERT_EQ(result.passes.size(), 2u) << name;
@@ -111,7 +113,7 @@ TEST(PassPipeline, MatchesSpeedupStepAndStatsAreConsistent) {
 TEST(EngineContext, CertifyChainWarmRerunRecomputesNothing) {
   const core::Chain chain = core::exactChain(1 << 10, 1);
   ASSERT_GT(chain.steps.size(), 3u);
-  EngineContext ctx;
+  EngineSession ctx;
   const std::string coldVerdict = core::certifyChain(chain, ctx);
   EXPECT_EQ(coldVerdict, core::certifyChain(chain));  // same as context-free
   const CacheStats cold = ctx.stats();
@@ -131,7 +133,7 @@ TEST(EngineContext, IterateSpeedupWarmRerunRecomputesNothing) {
   options.maxLabels = 32;
   const IterationTrace plain = iterateSpeedup(mis, options);
 
-  EngineContext ctx;
+  EngineSession ctx;
   options.context = &ctx;
   const IterationTrace cold = iterateSpeedup(mis, options);
   const CacheStats afterCold = ctx.stats();
@@ -159,7 +161,7 @@ TEST(EngineContext, FixedPointDetectionAgreesWithAndWithoutContext) {
     IterateOptions options;
     options.maxSteps = 4;
     const IterationTrace plain = iterateSpeedup(so, options);
-    EngineContext ctx;
+    EngineSession ctx;
     options.context = &ctx;
     const IterationTrace withCtx = iterateSpeedup(so, options);
     EXPECT_EQ(plain.reason, withCtx.reason) << delta;
@@ -174,7 +176,7 @@ TEST(EngineContext, AutoLowerBoundAgreesWithAndWithoutContext) {
     AutoLowerBoundOptions options;
     options.maxSteps = 3;
     const AutoLowerBound plain = autoLowerBound(p, options);
-    EngineContext ctx;
+    EngineSession ctx;
     options.context = &ctx;
     const AutoLowerBound withCtx = autoLowerBound(p, options);
     EXPECT_EQ(plain.rounds, withCtx.rounds);
@@ -184,7 +186,7 @@ TEST(EngineContext, AutoLowerBoundAgreesWithAndWithoutContext) {
 }
 
 TEST(EngineContext, InternDetectsRenamedDuplicates) {
-  EngineContext ctx;
+  EngineSession ctx;
   const Problem mis = misProblem(3);
   const auto first = ctx.intern(mis);
   EXPECT_FALSE(first.alreadyInterned);
@@ -212,32 +214,42 @@ TEST(EngineContext, InternDetectsRenamedDuplicates) {
 }
 
 TEST(EngineContext, SharedAcrossThreadsStaysConsistent) {
-  // One context, eight lanes, every lane hammering the same three problems:
+  // One session, eight lanes, every lane hammering the same three problems:
   // concurrent cold misses may duplicate work, but every returned problem
   // must equal the serial reference (this test is a ThreadSanitizer target).
+  // Every session shape follows the same sharing rule, so both a standalone
+  // session and a serial-sweep session over a shared core are stepped.
   const std::vector<Problem> problems = {
       misProblem(3), sinklessOrientationProblem(3),
       core::familyProblem(4, 2, 1)};
   std::vector<Problem> reference;
   for (const Problem& p : problems) reference.push_back(speedupStep(p));
 
-  EngineContext ctx;
-  constexpr std::size_t kTasks = 24;
-  std::vector<Problem> results(kTasks);
-  util::parallel_for(8, kTasks, [&](std::size_t i) {
-    results[i] = ctx.speedupStep(problems[i % problems.size()]);
-  });
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    expectProblemsBitIdentical(reference[i % problems.size()], results[i],
-                               "shared context task " + std::to_string(i));
+  PassOptions serial;
+  serial.numThreads = 1;
+  EngineSession standalone;
+  EngineSession sharedCore(std::make_shared<EngineCore>(), serial);
+  for (EngineSession* ctx : {&standalone, &sharedCore}) {
+    const std::string shape =
+        ctx == &standalone ? "standalone" : "shared-core serial";
+    constexpr std::size_t kTasks = 24;
+    std::vector<Problem> results(kTasks);
+    util::parallel_for(8, kTasks, [&](std::size_t i) {
+      results[i] = ctx->speedupStep(problems[i % problems.size()]);
+    });
+    for (std::size_t i = 0; i < kTasks; ++i) {
+      expectProblemsBitIdentical(
+          reference[i % problems.size()], results[i],
+          shape + " session task " + std::to_string(i));
+    }
+    const CacheStats stats = ctx->stats();
+    EXPECT_EQ(stats.stepHits + stats.stepMisses, 2 * kTasks) << shape;
   }
-  const CacheStats stats = ctx.stats();
-  EXPECT_EQ(stats.stepHits + stats.stepMisses, 2 * kTasks);
 }
 
 TEST(EngineContext, SharedSubResultsAreCached) {
   const Problem p = core::familyProblem(5, 2, 1);
-  EngineContext ctx;
+  EngineSession ctx;
   const auto compat1 = ctx.edgeCompatibility(p.edge, p.alphabet.size());
   const auto compat2 = ctx.edgeCompatibility(p.edge, p.alphabet.size());
   EXPECT_EQ(compat1, compat2);

@@ -11,7 +11,9 @@
 #include "core/sequence.hpp"
 #include "io/certificate.hpp"
 #include "obs/metrics.hpp"
+#include "re/canonical.hpp"
 #include "re/problem.hpp"
+#include "re/re_step.hpp"
 
 namespace relb::store {
 namespace {
@@ -58,7 +60,7 @@ TEST(DiskStepStore, StepResultsPersistAcrossContexts) {
 
   re::StepResult coldR, coldRbar;
   {
-    re::EngineContext ctx;
+    re::EngineSession ctx;
     ctx.attachStore(std::make_shared<DiskStepStore>(dir));
     coldR = ctx.applyR(p);
     coldRbar = ctx.applyRbar(coldR.problem);
@@ -69,7 +71,7 @@ TEST(DiskStepStore, StepResultsPersistAcrossContexts) {
   }
 
   // A brand-new context with the same store recomputes nothing.
-  re::EngineContext warm;
+  re::EngineSession warm;
   auto store = std::make_shared<DiskStepStore>(dir);
   warm.attachStore(store);
   const re::StepResult warmR = warm.applyR(p);
@@ -95,7 +97,7 @@ TEST(DiskStepStore, WarmChainCertificationRecomputesNothing) {
   const core::Chain chain = core::exactChain(32, 1);
   std::string coldBytes, warmBytes;
   {
-    re::EngineContext ctx;
+    re::EngineSession ctx;
     ctx.attachStore(std::make_shared<DiskStepStore>(dir));
     const auto cert = core::buildChainCertificate(chain, &ctx);
     coldBytes = io::certificateToJson(cert).dumpPretty();
@@ -106,7 +108,7 @@ TEST(DiskStepStore, WarmChainCertificationRecomputesNothing) {
     // every step is served by the store (store.hit ticks once per step,
     // store.miss not at all).  Asserted on snapshot deltas, not stdout.
     const auto before = obs::Registry::global().snapshot();
-    re::EngineContext ctx;
+    re::EngineSession ctx;
     ctx.attachStore(std::make_shared<DiskStepStore>(dir));
     const auto cert = core::buildChainCertificate(chain, &ctx);
     warmBytes = io::certificateToJson(cert).dumpPretty();
@@ -131,7 +133,7 @@ TEST(DiskStepStore, TruncatedEntryIsQuarantinedAndRecomputed) {
   const re::Problem p = re::misProblem(3);
   re::StepResult expected;
   {
-    re::EngineContext ctx;
+    re::EngineSession ctx;
     ctx.attachStore(std::make_shared<DiskStepStore>(dir));
     expected = ctx.applyR(p);
   }
@@ -149,7 +151,7 @@ TEST(DiskStepStore, TruncatedEntryIsQuarantinedAndRecomputed) {
   }
 
   auto store = std::make_shared<DiskStepStore>(dir);
-  re::EngineContext ctx;
+  re::EngineSession ctx;
   ctx.attachStore(store);
   const re::StepResult recomputed = ctx.applyR(p);
   EXPECT_EQ(recomputed.problem, expected.problem);
@@ -158,7 +160,7 @@ TEST(DiskStepStore, TruncatedEntryIsQuarantinedAndRecomputed) {
   EXPECT_EQ(ctx.stats().stepMisses, 1u);  // recomputed, not trusted
   EXPECT_FALSE(fs::is_empty(dir / "quarantine"));
   // The recomputation was written back: a third context gets a clean hit.
-  re::EngineContext again;
+  re::EngineSession again;
   again.attachStore(std::make_shared<DiskStepStore>(dir));
   (void)again.applyR(p);
   EXPECT_EQ(again.stats().storeHits, 1u);
@@ -169,7 +171,7 @@ TEST(DiskStepStore, ChecksumMismatchIsQuarantined) {
   const fs::path dir = freshDir("store-corrupt");
   const re::Problem p = re::sinklessOrientationProblem(3);
   {
-    re::EngineContext ctx;
+    re::EngineSession ctx;
     ctx.attachStore(std::make_shared<DiskStepStore>(dir));
     (void)ctx.zeroRoundSolvable(p, re::ZeroRoundMode::kSymmetricPorts);
   }
@@ -189,7 +191,7 @@ TEST(DiskStepStore, ChecksumMismatchIsQuarantined) {
   }
 
   auto store = std::make_shared<DiskStepStore>(dir);
-  re::EngineContext ctx;
+  re::EngineSession ctx;
   ctx.attachStore(store);
   EXPECT_FALSE(ctx.zeroRoundSolvable(p, re::ZeroRoundMode::kSymmetricPorts))
       << "tampered verdict must not be believed";
@@ -200,12 +202,83 @@ TEST(DiskStepStore, DistinctZeroRoundModesDoNotCollide) {
   const fs::path dir = freshDir("store-modes");
   const re::Problem p = re::misProblem(3);
   auto store = std::make_shared<DiskStepStore>(dir);
-  re::EngineContext ctx;
+  re::EngineSession ctx;
   ctx.attachStore(store);
   (void)ctx.zeroRoundSolvable(p, re::ZeroRoundMode::kSymmetricPorts);
   (void)ctx.zeroRoundSolvable(p, re::ZeroRoundMode::kAdversarialPorts);
   (void)ctx.zeroRoundSolvable(p, re::ZeroRoundMode::kWithEdgeInputs);
   EXPECT_EQ(store->objectCount(), 3u);
+}
+
+TEST(DiskStepStore, RbarEntryUnderOtherGuardsIsAPlainMiss) {
+  const fs::path dir = freshDir("store-guards");
+  const re::Problem q = re::applyR(re::misProblem(3)).problem;
+  re::StepOptions other;
+  other.enumerationLimit = 1'000'000;  // default: 2'000'000
+  {
+    re::EngineSession ctx(nullptr, other);
+    ctx.attachStore(std::make_shared<DiskStepStore>(dir));
+    (void)ctx.applyRbar(q);
+    EXPECT_EQ(ctx.stats().storeWrites, 1u);
+  }
+
+  // Same input, default guards: the entry is valid but not reusable.
+  auto store = std::make_shared<DiskStepStore>(dir);
+  re::EngineSession ctx;
+  ctx.attachStore(store);
+  const re::StepResult recomputed = ctx.applyRbar(q);
+  const re::StepResult expected = re::applyRbar(q);
+  EXPECT_EQ(recomputed.problem, expected.problem);
+  EXPECT_EQ(recomputed.meaning, expected.meaning);
+  EXPECT_EQ(store->stats().hits, 0u);
+  EXPECT_EQ(store->stats().misses, 1u);
+  EXPECT_EQ(store->stats().quarantined, 0u) << "a guard mismatch is not "
+                                               "corruption";
+  EXPECT_EQ(ctx.stats().stepMisses, 1u);
+  EXPECT_TRUE(fs::is_empty(dir / "quarantine"));
+}
+
+TEST(DiskStepStore, ForgedHashCollisionIsAPlainMiss) {
+  const fs::path dir = freshDir("store-collision");
+  const re::Problem p = re::misProblem(3);
+  const re::Problem q = re::sinklessOrientationProblem(3);
+  {
+    re::EngineSession ctx;
+    ctx.attachStore(std::make_shared<DiskStepStore>(dir));
+    (void)ctx.applyR(p);
+  }
+  // Forge a collision: P's valid entry, filed under Q's structural hash.
+  const auto files = objectFiles(dir);
+  ASSERT_EQ(files.size(), 1u);
+  const fs::path pPath = files[0];
+  const std::string pHex = pPath.stem().stem().string();  // <hash16>
+  const std::string qHex = [&] {
+    std::uint64_t h = re::structuralHash(q);
+    std::string hex(16, '0');
+    for (int i = 15; i >= 0; --i, h >>= 4) {
+      hex[static_cast<std::size_t>(i)] = "0123456789abcdef"[h & 0xF];
+    }
+    return hex;
+  }();
+  ASSERT_NE(pHex, qHex);
+  const fs::path qPath =
+      dir / "objects" / qHex.substr(0, 2) / (qHex + ".r.json");
+  fs::create_directories(qPath.parent_path());
+  fs::copy_file(pPath, qPath);
+
+  auto store = std::make_shared<DiskStepStore>(dir);
+  re::EngineSession ctx;
+  ctx.attachStore(store);
+  const re::StepResult r = ctx.applyR(q);
+  const re::StepResult expected = re::applyR(q);
+  EXPECT_EQ(r.problem, expected.problem);
+  EXPECT_EQ(r.meaning, expected.meaning);
+  EXPECT_EQ(store->stats().hits, 0u);
+  EXPECT_EQ(store->stats().misses, 1u);
+  EXPECT_EQ(store->stats().quarantined, 0u) << "a collision is not "
+                                               "corruption";
+  EXPECT_EQ(ctx.stats().stepMisses, 1u);
+  EXPECT_TRUE(fs::is_empty(dir / "quarantine"));
 }
 
 }  // namespace

@@ -11,17 +11,21 @@ serial row slowed down by more than the tolerance.  Used by the
     tools/check_bench.py BENCH_speedup.json /tmp/candidate.json
 
 Key rows are the serial (numThreads = 1) engine rows plus the bit-kernel
-rows -- the quantities the repo promises not to regress.  Parallel rows and
-the tracer-overhead rows are compared informationally only: on shared CI
-runners their noise exceeds any plausible regression signal.
+rows -- the quantities the repo promises not to regress.  Parallel rows
+(numThreads != 1) are printed informationally only: on shared CI runners
+their noise exceeds any plausible regression signal.  Their speed also
+depends on the core count, so the gate prints both files'
+``context.num_cpus`` and labels every parallel line a cross-core comparison
+when the baseline ran on one CPU or the two counts differ.
 
 Both files must carry ``context.library_build_type == "release"`` (stamped
 by run_bench.sh): comparing Debug numbers against a Release baseline would
 make every run fail, and the reverse would hide real regressions.
 
 ``--self-test BASELINE`` verifies the gate itself: the baseline must pass
-against an identical copy, and must fail against a synthetic candidate whose
-key rows are 20% slower.  Exit codes: 0 = pass, 1 = regression (or
+against an identical copy, must fail against a synthetic candidate whose
+key rows are 20% slower, and must label parallel lines cross-core exactly
+when the CPU counts call for it.  Exit codes: 0 = pass, 1 = regression (or
 self-test failure), 2 = bad input.
 """
 
@@ -98,15 +102,52 @@ def iteration_rows(data):
     return rows
 
 
+def num_cpus(data):
+    return data.get("context", {}).get("num_cpus")
+
+
+def is_cross_core(baseline, candidate):
+    """True when parallel rows cannot be compared like for like: the
+    baseline ran on one CPU, or the two files ran on different counts."""
+    base = num_cpus(baseline)
+    return base == 1 or base != num_cpus(candidate)
+
+
+def name_args(name):
+    """The row name's /-separated parts without the time-mode suffixes,
+    e.g. .../process_time/real_time."""
+    parts = name.split("/")
+    while parts[-1] in TIME_SUFFIXES:
+        parts = parts[:-1]
+    return parts
+
+
+def is_parallel_row(name):
+    return name.startswith(THREADED_PREFIXES) and name_args(name)[-1] != "1"
+
+
+def parallel_lines(baseline, candidate):
+    """The informational (never gated) lines for the parallel rows."""
+    label = "  (cross-core comparison)" if is_cross_core(
+        baseline, candidate) else ""
+    cand_rows = iteration_rows(candidate)
+    lines = []
+    for name, base_row in sorted(iteration_rows(baseline).items()):
+        cand_row = cand_rows.get(name)
+        if not is_parallel_row(name) or cand_row is None:
+            continue
+        base_ns = row_time_ns(base_row)
+        if base_ns <= 0:
+            continue
+        ratio = row_time_ns(cand_row) / base_ns
+        lines.append(f"  {'info':>10}  {ratio:5.2f}x  {name}{label}")
+    return lines
+
+
 def is_key_row(name):
     if not name.startswith(KEY_PREFIXES):
         return False
-    parts = name.split("/")
-    while parts[-1] in TIME_SUFFIXES:  # e.g. .../process_time/real_time
-        parts = parts[:-1]
-    if name.startswith(THREADED_PREFIXES):
-        return parts[-1] == "1"
-    return True
+    return not is_parallel_row(name)
 
 
 def compare(baseline, candidate, tolerance, verbose=True):
@@ -165,8 +206,26 @@ def self_test(baseline, tolerance):
         print(f"self-test FAILED: {scale:.2f}x-slowed candidate "
               f"({scaled_rows} key rows) was accepted")
         return 1
+    for base_cpus, cand_cpus, cross in ((1, 1, True), (4, 8, True),
+                                        (4, 4, False)):
+        base = copy.deepcopy(baseline)
+        cand = copy.deepcopy(baseline)
+        base.setdefault("context", {})["num_cpus"] = base_cpus
+        cand.setdefault("context", {})["num_cpus"] = cand_cpus
+        lines = parallel_lines(base, cand)
+        if not lines:
+            print("self-test FAILED: baseline contains no parallel rows")
+            return 1
+        labelled = sum("cross-core" in line for line in lines)
+        if labelled != (len(lines) if cross else 0):
+            print(f"self-test FAILED: num_cpus {base_cpus} vs {cand_cpus}: "
+                  f"{labelled} of {len(lines)} parallel lines labelled "
+                  f"cross-core, expected {'all' if cross else 'none'}")
+            return 1
     print(f"self-test passed: identical candidate accepted, {scale:.2f}x "
-          f"slowdown on {scaled_rows} key rows rejected")
+          f"slowdown on {scaled_rows} key rows rejected, parallel lines "
+          f"labelled cross-core exactly when the CPU counts differ or the "
+          f"baseline has 1")
     return 0
 
 
@@ -200,7 +259,12 @@ def main():
 
     print(f"comparing {args.candidate} against {args.baseline} "
           f"(tolerance {args.tolerance:.2f}):")
+    print(f"  num_cpus: baseline {num_cpus(baseline)}, "
+          f"candidate {num_cpus(candidate)}")
     failures = compare(baseline, candidate, args.tolerance)
+    print("parallel rows (informational, not gated):")
+    for line in parallel_lines(baseline, candidate):
+        print(line)
     if failures:
         print(f"\nFAILED: {len(failures)} key-row regression(s):")
         for f in failures:
