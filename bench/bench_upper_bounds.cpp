@@ -1,23 +1,24 @@
 // T8 -- Section 1.1 upper bounds vs the new lower bound.
 //
-// Measures, on random trees:
+// Measures, on random trees, with the CSR kernels of local/kernels.hpp:
 //   * Luby MIS phases vs n (O(log n) randomized);
 //   * the coloring-route MIS and k-outdegree dominating set round counts vs
 //     Delta and vs k (the sweep stage carries the Delta/k shape);
 //   * the certified PN-model lower bound t(Delta, k) alongside, showing the
 //     Omega(log Delta) vs O(poly Delta) gap the paper leaves open.
-#include <algorithm>
 #include <cmath>
 #include <random>
 
-#include "algos/domset.hpp"
-#include "algos/luby.hpp"
 #include "bench_util.hpp"
 #include "core/sequence.hpp"
+#include "local/kernels.hpp"
 #include "local/verify.hpp"
 
 int main() {
   using namespace relb;
+  const auto properColoring = [](const local::CsrGraph& g) {
+    return local::reduceToDeltaPlusOne(g, local::linialColorReduce(g, 1), 1);
+  };
 
   bench::banner("Luby MIS phases vs n (random trees, max degree 8)");
   {
@@ -27,10 +28,10 @@ int main() {
       bool valid = true;
       for (unsigned seed = 0; seed < 5; ++seed) {
         std::mt19937 rng(seed * 977 + 13);
-        const auto g = local::randomTree(n, 8, rng);
-        const auto result = algos::lubyMis(g, rng);
-        phases += result.phases;
-        valid &= local::isMaximalIndependentSet(g, result.inSet);
+        const auto g = local::toCsrGraph(local::randomTree(n, 8, rng));
+        const auto result = local::lubyMis(g, seed * 977 + 13, 1);
+        phases += result.rounds;
+        valid &= local::csrIsMaximalIndependentSet(g, result.state, 1);
       }
       t.row(n, phases / 5.0, std::log2(static_cast<double>(n)), valid);
     }
@@ -44,11 +45,10 @@ int main() {
       double phases = 0;
       bool valid = true;
       for (unsigned seed = 0; seed < 5; ++seed) {
-        std::mt19937 rng(seed * 31 + 5);
-        const auto g = local::pathGraph(n);
-        const auto result = algos::lubyMis(g, rng);
-        phases += result.phases;
-        valid &= local::isMaximalIndependentSet(g, result.inSet);
+        const auto g = local::toCsrGraph(local::pathGraph(n));
+        const auto result = local::lubyMis(g, seed * 31 + 5, 1);
+        phases += result.rounds;
+        valid &= local::csrIsMaximalIndependentSet(g, result.state, 1);
       }
       tp.row(n, phases / 5.0, std::log2(static_cast<double>(n)), valid);
     }
@@ -61,12 +61,12 @@ int main() {
                     "certified LB t(Delta,0)", "valid"});
     for (int delta : {4, 6, 8, 12, 16, 24}) {
       std::mt19937 rng(42);
-      const auto g = local::randomTree(4000, delta, rng);
-      const auto result = algos::misFromColoring(g);
-      t.row(delta, result.roundsColoring, result.roundsSweep,
-            result.totalRounds(),
+      const auto g = local::toCsrGraph(local::randomTree(4000, delta, rng));
+      const auto proper = properColoring(g);
+      const auto result = local::sweepClasses(g, proper, 1);
+      t.row(delta, proper.rounds, result.rounds, proper.rounds + result.rounds,
             core::pnLowerBoundRounds(g.maxDegree(), 0),
-            local::isMaximalIndependentSet(g, result.inSet));
+            local::csrIsKDegreeDominatingSet(g, result.inSet, 0, 1));
     }
     t.print();
     std::cout << "shape: upper bound grows polynomially in Delta (the "
@@ -79,15 +79,18 @@ int main() {
   bench::banner("k-outdegree dominating set rounds vs k (Delta = 16, n ~ 4000)");
   {
     std::mt19937 rng(7);
-    const auto g = local::randomTree(4000, 16, rng);
+    const auto g = local::toCsrGraph(local::randomTree(4000, 16, rng));
+    const auto proper = properColoring(g);
     bench::Table t({"k", "arbdefective rounds", "sweep rounds (#bins)",
                     "|S|", "certified LB t(Delta,k)", "valid"});
     for (int k : {0, 1, 2, 4, 8, 15}) {
-      const auto result = algos::kOutdegreeDominatingSet(g, k);
-      const bool valid = local::isKOutdegreeDominatingSet(
-          g, result.inSet, result.orientation, k);
-      t.row(k, result.roundsDefective, result.roundsSweep,
-            std::count(result.inSet.begin(), result.inSet.end(), true),
+      // k = 0: the proper classes are the bins (the MIS route).
+      local::ColorRun bins{proper.colors, 0, proper.numColors};
+      if (k > 0) bins = local::arbdefectiveColoring(g, proper, k, 1);
+      const auto result = local::sweepClasses(g, bins, 1);
+      const bool valid = local::csrIsKOutdegreeDominatingSet(
+          g, result.inSet, proper.colors, k, 1);
+      t.row(k, bins.rounds, result.rounds, result.setSize,
             core::pnLowerBoundRounds(16, k), valid);
     }
     t.print();
@@ -100,15 +103,18 @@ int main() {
   bench::banner("k-degree dominating set sweep rounds vs k (Delta = 24)");
   {
     std::mt19937 rng(9);
-    const auto g = local::randomTree(4000, 24, rng);
+    const auto g = local::toCsrGraph(local::randomTree(4000, 24, rng));
+    const auto proper = properColoring(g);
     bench::Table t({"k", "defective classes = sweep rounds",
                     "(Delta/k)^2 reference", "valid"});
     for (int k : {1, 2, 3, 6, 12}) {
-      const auto result = algos::kDegreeDominatingSet(g, k);
-      const bool valid = local::isKDegreeDominatingSet(g, result.inSet, k);
+      const auto result =
+          local::sweepClasses(g, local::defectiveColoring(g, proper, k, 1), 1);
+      const bool valid =
+          local::csrIsKDegreeDominatingSet(g, result.inSet, k, 1);
       const double reference =
           std::pow(static_cast<double>(g.maxDegree()) / k, 2.0);
-      t.row(k, result.roundsSweep, reference, valid);
+      t.row(k, result.rounds, reference, valid);
     }
     t.print();
     std::cout << "shape: O((Delta/k)^2) classes (Kuhn'09 defective "

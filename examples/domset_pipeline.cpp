@@ -1,20 +1,21 @@
 // End-to-end k-outdegree dominating set pipeline on a concrete tree:
 //
-//   upper bound:  Linial coloring -> k-arbdefective coloring -> class sweep
+//   upper bound:  Linial coloring -> k-arbdefective coloring -> class sweep,
+//                 run by the CSR kernels of local/kernels.hpp
 //   lower bound:  Lemma 5 turns the computed set into a Pi_Delta(a, k)
 //                 solution, which the generic LCL checker validates, and
 //                 Lemma 9 + the chain machinery bound the achievable speed.
 //
 //   ./domset_pipeline [delta] [depth] [k]
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
 
-#include "algos/domset.hpp"
 #include "core/conversions.hpp"
 #include "core/sequence.hpp"
 #include "local/halfedge.hpp"
+#include "local/kernels.hpp"
+#include "local/verify.hpp"
 #include "re/engine.hpp"
 
 int main(int argc, char** argv) {
@@ -24,23 +25,34 @@ int main(int argc, char** argv) {
   const int k = argc > 3 ? std::atoi(argv[3]) : 2;
 
   const local::Graph g = local::completeRegularTree(delta, depth);
+  const local::CsrGraph csr = local::toCsrGraph(g);
   std::cout << "complete " << delta << "-regular tree, depth " << depth
             << ": n = " << g.numNodes() << "\n\n";
 
-  // Upper bound: compute a k-outdegree dominating set.
-  const auto ds = algos::kOutdegreeDominatingSet(g, k);
+  // Upper bound: compute a k-outdegree dominating set.  The arbdefective
+  // coloring's bins are swept one round each (for k = 0 the proper classes
+  // are the bins); G[S] edges point at the endpoint with the smaller proper
+  // color.
+  const auto proper =
+      local::reduceToDeltaPlusOne(csr, local::linialColorReduce(csr, 1), 1);
+  local::ColorRun bins{proper.colors, 0, proper.numColors};
+  if (k > 0) bins = local::arbdefectiveColoring(csr, proper, k, 1);
+  const auto ds = local::sweepClasses(csr, bins, 1);
   const bool valid =
-      local::isKOutdegreeDominatingSet(g, ds.inSet, ds.orientation, k);
-  std::cout << k << "-outdegree dominating set: |S| = "
-            << std::count(ds.inSet.begin(), ds.inSet.end(), true)
+      local::csrIsKOutdegreeDominatingSet(csr, ds.inSet, proper.colors, k, 1);
+  std::cout << k << "-outdegree dominating set: |S| = " << ds.setSize
             << ", valid = " << (valid ? "yes" : "no") << "\n";
-  std::cout << "rounds: " << ds.totalRounds() << " total = "
-            << ds.roundsColoring << " coloring + " << ds.roundsDefective
-            << " arbdefective + " << ds.roundsSweep << " sweep\n\n";
+  std::cout << "rounds: " << proper.rounds + bins.rounds + ds.rounds
+            << " total = " << proper.rounds << " coloring + " << bins.rounds
+            << " arbdefective + " << ds.rounds << " sweep\n\n";
+
+  const std::vector<bool> inSet(ds.inSet.begin(), ds.inSet.end());
+  const local::EdgeOrientation orientation =
+      local::orientByRank(g, inSet, proper.colors);
 
   // Lemma 5: one more round turns S into a Pi_Delta(Delta, k) solution.
   const auto labeling =
-      core::lemma5Labeling(g, ds.inSet, ds.orientation, delta, k);
+      core::lemma5Labeling(g, inSet, orientation, delta, k);
   const auto pi = core::familyProblem(delta, delta, k);
   const auto check = local::checkLabeling(g, pi, labeling);
   std::cout << "Lemma 5 labeling solves Pi_Delta(Delta, k): "

@@ -8,9 +8,8 @@
 #include <iostream>
 #include <random>
 
-#include "algos/domset.hpp"
-#include "algos/luby.hpp"
 #include "core/sequence.hpp"
+#include "local/kernels.hpp"
 #include "local/verify.hpp"
 
 int main(int argc, char** argv) {
@@ -20,31 +19,43 @@ int main(int argc, char** argv) {
   const unsigned seed = argc > 3 ? static_cast<unsigned>(std::atoi(argv[3])) : 1;
 
   std::mt19937 rng(seed);
-  const local::Graph g = local::randomTree(n, maxDegree, rng);
+  const local::CsrGraph g =
+      local::toCsrGraph(local::randomTree(n, maxDegree, rng));
   std::cout << "random tree: n = " << g.numNodes()
             << ", max degree = " << g.maxDegree() << "\n\n";
 
-  // Randomized: Luby.
-  const auto luby = algos::lubyMis(g, rng);
-  std::cout << "Luby MIS:           " << luby.phases << " phases ("
-            << luby.rounds << " rounds), valid = "
-            << (local::isMaximalIndependentSet(g, luby.inSet) ? "yes" : "no")
-            << ", |S| = "
-            << std::count(luby.inSet.begin(), luby.inSet.end(), true) << "\n";
+  // Randomized: Luby.  A phase is two communication rounds (exchange
+  // priorities, then announce joins).
+  const auto luby = local::lubyMis(g, seed, 1);
+  std::cout << "Luby MIS:           " << luby.rounds << " phases ("
+            << 2 * luby.rounds << " rounds), valid = "
+            << (local::csrIsMaximalIndependentSet(g, luby.state, 1) ? "yes"
+                                                                    : "no")
+            << ", |S| = " << luby.misSize << "\n";
 
   // Deterministic: Linial coloring + class sweep (O(Delta^2 + log* n)).
-  const auto det = algos::misFromColoring(g);
-  std::cout << "coloring-sweep MIS: " << det.totalRounds() << " rounds ("
-            << det.roundsColoring << " coloring + " << det.roundsSweep
+  const auto proper =
+      local::reduceToDeltaPlusOne(g, local::linialColorReduce(g, 1), 1);
+  const auto det = local::sweepClasses(g, proper, 1);
+  std::cout << "coloring-sweep MIS: " << proper.rounds + det.rounds
+            << " rounds (" << proper.rounds << " coloring + " << det.rounds
             << " sweep), valid = "
-            << (local::isMaximalIndependentSet(g, det.inSet) ? "yes" : "no")
-            << ", |S| = "
-            << std::count(det.inSet.begin(), det.inSet.end(), true) << "\n";
+            << (local::csrIsKDegreeDominatingSet(g, det.inSet, 0, 1) ? "yes"
+                                                                     : "no")
+            << ", |S| = " << det.setSize << "\n";
 
-  // Sequential baseline.
-  const auto greedy = algos::greedyMis(g);
-  std::cout << "greedy (seq.) MIS:  |S| = "
-            << std::count(greedy.begin(), greedy.end(), true) << "\n\n";
+  // Sequential baseline: greedy MIS in id order.
+  std::vector<bool> greedy(g.numNodes(), false);
+  std::uint64_t greedySize = 0;
+  for (local::Vertex v = 0; v < g.numNodes(); ++v) {
+    bool blocked = false;
+    for (const local::Vertex w : g.neighbors(v)) blocked = blocked || greedy[w];
+    if (!blocked) {
+      greedy[v] = true;
+      ++greedySize;
+    }
+  }
+  std::cout << "greedy (seq.) MIS:  |S| = " << greedySize << "\n\n";
 
   // The paper's lower bound at this degree.
   const auto t = core::pnLowerBoundRounds(g.maxDegree(), 0);

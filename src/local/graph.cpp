@@ -285,4 +285,14 @@ Graph symmetricPortGadget(int delta) {
   return g;
 }
 
+CsrGraph toCsrGraph(const Graph& g) {
+  std::vector<std::pair<Vertex, Vertex>> edges;
+  edges.reserve(static_cast<std::size_t>(g.numEdges()));
+  for (EdgeId e = 0; e < g.numEdges(); ++e) {
+    const auto [u, v] = g.endpoints(e);
+    edges.emplace_back(static_cast<Vertex>(u), static_cast<Vertex>(v));
+  }
+  return CsrGraph::fromEdges(static_cast<Vertex>(g.numNodes()), edges);
+}
+
 }  // namespace relb::local

@@ -12,6 +12,7 @@
 #include <random>
 #include <vector>
 
+#include "local/csr.hpp"
 #include "re/types.hpp"
 
 namespace relb::local {
@@ -124,5 +125,10 @@ class Graph {
 /// endpoints.  Realized as K_{Delta,Delta} with parts interleaved (girth 4;
 /// sufficient for 0-round arguments).
 [[nodiscard]] Graph symmetricPortGadget(int delta);
+
+/// The same graph in the CSR layout, with node ids unchanged: edges are
+/// passed to CsrGraph::fromEdges in edge-id order, so each neighbor list
+/// follows the edge ids (not the port order).
+[[nodiscard]] CsrGraph toCsrGraph(const Graph& g);
 
 }  // namespace relb::local

@@ -1,6 +1,6 @@
 // Frontier-based parallel round kernels for the paper's upper bounds.
 //
-// Three algorithm families, each written as runRound(frontier) -> frontier
+// Four algorithm families, each written as runRound(frontier) -> frontier
 // sweeps over the CSR vertex table (local/frontier.hpp has the blocked-range
 // discipline and the determinism contract):
 //
@@ -20,6 +20,14 @@
 //     one round in which every non-MIS vertex points at an MIS neighbor.
 //     The MIS is the dominating set, G[S] is edgeless, so the empty
 //     orientation has outdegree 0 <= k for every admissible k.
+//
+//   * The Section 1.1 coloring route (local/colorings.cpp): Linial rounds
+//     from the id-coloring to O(Delta^2) colors, class elimination to
+//     Delta+1, the one-round k-defective and the k-arbdefective colorings,
+//     and the class sweep that turns any coloring into a dominating set.
+//     Every round's frontier is one color class; a vertex reads only slots
+//     written in earlier rounds, so the class sweep is a genuine LOCAL round
+//     (adjacent same-class vertices may both join).
 //
 // Kernels return plain data; observability is the caller's job (sim.cpp
 // wires RoundHook into obs counters and tracer spans).
@@ -84,10 +92,12 @@ void cvColorRound(const CsrGraph& g, std::span<const Vertex> parents,
 
 struct DomsetRun {
   std::vector<std::uint8_t> inSet;  // 1 = in the dominating set
-  /// dominator[v]: v itself for members, else the chosen MIS neighbor
+  /// dominator[v]: v itself for members, else the chosen member neighbor
   /// (kInvalidVertex marks a domination failure -- the verifier rejects).
   std::vector<Vertex> dominator;
-  int rounds = 0;  // rounds of the reduction itself (1), MIS not included
+  /// Rounds of this stage alone: 1 for domsetFromMis (MIS not included),
+  /// the number of classes for sweepClasses (coloring not included).
+  int rounds = 0;
   std::uint64_t setSize = 0;
 };
 
@@ -96,5 +106,61 @@ struct DomsetRun {
                                       std::span<const MisFlag> mis,
                                       int numThreads,
                                       const RoundHook& hook = {});
+
+// ---------------------------------------------------------------------------
+// The Section 1.1 coloring route (implemented in local/colorings.cpp).
+// ---------------------------------------------------------------------------
+
+/// The smallest prime >= v (trial division; v <= ~10^12).
+[[nodiscard]] std::uint64_t nextPrime(std::uint64_t v);
+
+/// One Linial round from the proper coloring `cur` with `numColors` colors:
+/// colors are read as degree-d polynomials over F_q (the smallest prime q
+/// with q > Delta * d), and v keeps (x, p_v(x)) for the first point x where
+/// p_v differs from every neighbor's polynomial.  Writes next[v] < q^2 and
+/// returns q^2.  Throws re::Error if `cur` is not proper or q^2 >= 2^32.
+[[nodiscard]] std::uint64_t linialColorRound(
+    const CsrGraph& g, std::span<const std::uint32_t> cur,
+    std::uint64_t numColors, std::span<std::uint32_t> next, int numThreads);
+
+/// Linial rounds from the id-coloring while they shrink the palette:
+/// O(Delta^2) colors after O(log* n) rounds (Linial '92).
+[[nodiscard]] ColorRun linialColorReduce(const CsrGraph& g, int numThreads);
+
+/// Color-class elimination down to Delta+1 colors: one round per removed
+/// class, in which the top class (an independent set) recolors greedily
+/// into {0..Delta}.  `start` must be proper.
+[[nodiscard]] ColorRun reduceToDeltaPlusOne(const CsrGraph& g, ColorRun start,
+                                            int numThreads);
+
+/// The one-round k-defective coloring (Kuhn '09 flavor): v reads its proper
+/// color as a linear polynomial over F_q (q ~ Delta/(k+1), q^2 >= the input
+/// palette) and keeps the point with the fewest agreements with its
+/// neighbors.  O((Delta/k)^2) classes, each inducing max degree <= k.
+/// Throws re::Error for k < 0.
+[[nodiscard]] ColorRun defectiveColoring(const CsrGraph& g,
+                                         const ColorRun& proper, int k,
+                                         int numThreads);
+
+/// The k-arbdefective coloring: one round per class of `proper`, in which
+/// the class picks the least-loaded of ceil((Delta+1)/(k+1)) bins among its
+/// already-binned neighbors.  The orientation is implied by `proper`: each
+/// intra-bin edge points at the endpoint with the smaller proper color, so
+/// every vertex has <= k out-neighbors in its bin (pigeonhole), and
+/// proper.colors is the `rank` csrIsKOutdegreeDominatingSet takes.  Throws
+/// re::Error for k < 0.
+[[nodiscard]] ColorRun arbdefectiveColoring(const CsrGraph& g,
+                                            const ColorRun& proper, int k,
+                                            int numThreads);
+
+/// The class sweep (coloring -> dominating set), one round per class in
+/// increasing color order: a vertex joins iff no neighbor of an earlier
+/// class has joined.  It reads only earlier rounds' membership, so adjacent
+/// same-class vertices may both join; G[S] edges stay inside one class,
+/// which carries the coloring's (arb)defect bound over to G[S].  A proper
+/// coloring therefore yields an MIS.  Non-members record their smallest-id
+/// member neighbor as dominator.
+[[nodiscard]] DomsetRun sweepClasses(const CsrGraph& g,
+                                     const ColorRun& coloring, int numThreads);
 
 }  // namespace relb::local

@@ -7,7 +7,6 @@
 // explicit so upper-bound experiments can report exact round complexities.
 #pragma once
 
-#include <algorithm>
 #include <functional>
 #include <span>
 #include <vector>
@@ -45,13 +44,6 @@ class SyncNetwork {
       auto& out = outbox_[static_cast<std::size_t>(v)];
       fn(v, std::span<const Msg>(in), std::span<Msg>(out));
     }
-    if (meter_) {
-      for (const auto& msgs : outbox_) {
-        for (const Msg& m : msgs) {
-          maxMessageBits_ = std::max(maxMessageBits_, meter_(m));
-        }
-      }
-    }
     // Deliver: the message a node wrote on port p reaches the neighbor on
     // the neighbor's port for the shared edge.
     for (NodeId v = 0; v < g.numNodes(); ++v) {
@@ -70,21 +62,10 @@ class SyncNetwork {
   [[nodiscard]] int rounds() const { return rounds_; }
   [[nodiscard]] const Graph& graph() const { return *graph_; }
 
-  /// CONGEST accounting: measures every outgoing message with `meter`
-  /// (bits) at the end of each subsequent step.  The paper notes its lower
-  /// bounds apply to CONGEST; this lets upper-bound algorithms certify they
-  /// stay within O(log n)-bit messages.
-  void setMessageMeter(std::function<long(const Msg&)> meter) {
-    meter_ = std::move(meter);
-  }
-  [[nodiscard]] long maxMessageBits() const { return maxMessageBits_; }
-
  private:
   const Graph* graph_;
   std::vector<std::vector<Msg>> inbox_;
   std::vector<std::vector<Msg>> outbox_;
-  std::function<long(const Msg&)> meter_;
-  long maxMessageBits_ = 0;
   int rounds_ = 0;
 };
 

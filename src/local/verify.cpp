@@ -137,6 +137,25 @@ EdgeOrientation orientInduced(const Graph& g, const std::vector<bool>& inSet) {
   return orientation;
 }
 
+EdgeOrientation orientByRank(const Graph& g, const std::vector<bool>& inSet,
+                             std::span<const std::uint32_t> rank) {
+  requireSize(g, inSet);
+  if (static_cast<NodeId>(rank.size()) != g.numNodes()) {
+    throw re::Error("verify: rank size does not match node count");
+  }
+  EdgeOrientation orientation(static_cast<std::size_t>(g.numEdges()), 0);
+  for (EdgeId e = 0; e < g.numEdges(); ++e) {
+    const auto [u, v] = g.endpoints(e);
+    const auto ru = rank[static_cast<std::size_t>(u)];
+    const auto rv = rank[static_cast<std::size_t>(v)];
+    if (inSet[static_cast<std::size_t>(u)] &&
+        inSet[static_cast<std::size_t>(v)] && ru != rv) {
+      orientation[static_cast<std::size_t>(e)] = rv < ru ? +1 : -1;
+    }
+  }
+  return orientation;
+}
+
 bool csrIsIndependentSet(const CsrGraph& g, std::span<const MisFlag> state,
                          int numThreads) {
   requireCsrSize(g, state.size(), "state");
@@ -205,6 +224,39 @@ bool csrIsZeroOutdegreeDominatingSet(const CsrGraph& g,
       if (w == d) return true;
     }
     return false;
+  });
+}
+
+bool csrIsKDegreeDominatingSet(const CsrGraph& g,
+                               std::span<const std::uint8_t> inSet, int k,
+                               int numThreads) {
+  requireCsrSize(g, inSet.size(), "inSet");
+  return allNodes(g, numThreads, [&](Vertex v) {
+    int members = 0;
+    for (const Vertex w : g.neighbors(v)) members += inSet[w] != 0;
+    return inSet[v] != 0 ? members <= k : members > 0;
+  });
+}
+
+bool csrIsKOutdegreeDominatingSet(const CsrGraph& g,
+                                  std::span<const std::uint8_t> inSet,
+                                  std::span<const std::uint32_t> rank, int k,
+                                  int numThreads) {
+  requireCsrSize(g, inSet.size(), "inSet");
+  requireCsrSize(g, rank.size(), "rank");
+  return allNodes(g, numThreads, [&](Vertex v) {
+    const auto neighbors = g.neighbors(v);
+    if (inSet[v] == 0) {
+      return std::any_of(neighbors.begin(), neighbors.end(),
+                         [&](Vertex w) { return inSet[w] != 0; });
+    }
+    int outdegree = 0;
+    for (const Vertex w : neighbors) {
+      if (inSet[w] == 0) continue;
+      if (rank[w] == rank[v]) return false;  // unoriented G[S] edge
+      outdegree += rank[w] < rank[v];
+    }
+    return outdegree <= k;
   });
 }
 

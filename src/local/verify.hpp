@@ -57,6 +57,14 @@ using EdgeOrientation = std::vector<int>;
 [[nodiscard]] EdgeOrientation orientInduced(const Graph& g,
                                             const std::vector<bool>& inSet);
 
+/// Orients every G[S] edge towards the endpoint with the smaller rank (the
+/// k-arbdefective coloring's rule, rank = the proper color it came from).
+/// Edges whose endpoints tie stay 0, so isKOutdegreeDominatingSet rejects
+/// them exactly as csrIsKOutdegreeDominatingSet does.
+[[nodiscard]] EdgeOrientation orientByRank(const Graph& g,
+                                           const std::vector<bool>& inSet,
+                                           std::span<const std::uint32_t> rank);
+
 // ---------------------------------------------------------------------------
 // Per-node-state verifiers over the CSR layout (the massive-scale simulator's
 // outputs; docs/simulator.md).  Each sweeps the vertex table in parallel --
@@ -93,5 +101,19 @@ using EdgeOrientation = std::vector<int>;
 [[nodiscard]] bool csrIsZeroOutdegreeDominatingSet(
     const CsrGraph& g, std::span<const std::uint8_t> inSet,
     std::span<const Vertex> dominator, int numThreads);
+
+/// Every non-member has a member neighbor, and every member has at most k
+/// member neighbors (G[S] has max degree <= k).  k = 0 is exactly an MIS.
+[[nodiscard]] bool csrIsKDegreeDominatingSet(
+    const CsrGraph& g, std::span<const std::uint8_t> inSet, int k,
+    int numThreads);
+
+/// Dominating, and under the orientation that points every G[S] edge at its
+/// endpoint of smaller `rank`, every member has outdegree <= k.  A G[S] edge
+/// whose endpoints tie in rank is unoriented, and rejected.  The rank
+/// stands in for per-edge orientation bits, so CsrGraph needs no edge ids.
+[[nodiscard]] bool csrIsKOutdegreeDominatingSet(
+    const CsrGraph& g, std::span<const std::uint8_t> inSet,
+    std::span<const std::uint32_t> rank, int k, int numThreads);
 
 }  // namespace relb::local
